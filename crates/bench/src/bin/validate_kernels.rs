@@ -5,13 +5,12 @@
 //! ```
 //!
 //! Plans a sharing-friendly TPC-H workload under the iShare approach, then
-//! executes it through all three datapaths ([`ExecMode::Kernels`] — encoded
-//! keys, compiled expressions, flat operator state — [`ExecMode::Vectorized`]
-//! — columnar SoA batches with selection-vector kernels — and
-//! [`ExecMode::Reference`], the original interpreter-shaped operators kept
-//! as oracle) and through the parallel driver at 2 and 4 workers. Every run
-//! must agree **to the bit** on charged total work, per-query final work,
-//! execution counts, and the query result multisets.
+//! executes it through both datapaths ([`ExecMode::Kernels`] — encoded keys,
+//! compiled expressions, flat operator state — and [`ExecMode::Reference`],
+//! the original interpreter-shaped operators kept as oracle) and through the
+//! parallel driver at 2 and 4 workers. Every run must agree **to the bit**
+//! on charged total work, per-query final work, execution counts, and the
+//! query result multisets.
 //!
 //! With `--out`, writes the kernel run's summary in the same shape
 //! `examples/streaming.rs --out` produces (work numbers as f64 bit patterns
@@ -26,7 +25,7 @@ use ishare_core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions}
 use ishare_storage::Row;
 use ishare_stream::{
     execute_planned_deltas, execute_planned_deltas_parallel, execute_planned_deltas_reference,
-    execute_planned_deltas_vectorized, RunResult,
+    RunResult,
 };
 use ishare_tpch::{generate, queries::sharing_friendly_queries};
 use std::collections::{BTreeMap, HashMap};
@@ -170,15 +169,6 @@ fn main() {
     )
     .unwrap_or_else(|e| fail(&format!("kernel run: {e}")));
     check("kernels sequential vs reference", &reference, &kernels);
-    let vectorized = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        weights(),
-    )
-    .unwrap_or_else(|e| fail(&format!("vectorized run: {e}")));
-    check("vectorized sequential vs reference", &reference, &vectorized);
     for threads in [2usize, 4] {
         let par = execute_planned_deltas_parallel(
             &planned.plan,
@@ -204,5 +194,5 @@ fn main() {
         std::fs::write(&path, text).unwrap_or_else(|e| fail(&format!("write {path:?}: {e}")));
         println!("[saved {}]", path.display());
     }
-    println!("validate_kernels: OK — all three datapaths bit-identical at 1/2/4 threads");
+    println!("validate_kernels: OK — both datapaths bit-identical at 1/2/4 threads");
 }

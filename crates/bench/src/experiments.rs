@@ -726,9 +726,8 @@ pub fn parallel_scaling(p: &Params) -> Result<()> {
 
 /// Kernel datapath benchmark: per-kernel ns/op for the three hot kernels
 /// (join probe/insert, group update, predicate eval) against the reference
-/// operators they replaced — plus the columnar selection-vector variants of
-/// group update and predicate eval — and the engine-level wall clock of the
-/// `scaling` workload on all three datapaths. Work numbers are asserted
+/// operators they replaced, plus the engine-level wall clock of the
+/// `scaling` workload on both datapaths. Work numbers are asserted
 /// bit-identical between the datapaths; results land in
 /// `results/BENCH_kernels.json` — the perf trajectory later PRs regress
 /// against.
@@ -739,13 +738,10 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
     use ishare_exec::join::{JoinKeys, JoinState};
     use ishare_exec::operators::apply_select;
     use ishare_exec::reference::{ref_apply_select, RefAggState, RefJoinState};
-    use ishare_exec::vectorized::{select_columnar, ColsView, VecDelta};
     use ishare_expr::{CompiledPredicate, Expr};
     use ishare_plan::{AggExpr, AggFunc, SelectBranch};
-    use ishare_storage::{ColumnarBatch, DeltaBatch, DeltaRow, Row};
-    use ishare_stream::{
-        execute_planned_deltas, execute_planned_deltas_reference, execute_planned_deltas_vectorized,
-    };
+    use ishare_storage::{DeltaBatch, DeltaRow, Row};
+    use ishare_stream::{execute_planned_deltas, execute_planned_deltas_reference};
     use std::collections::HashMap;
 
     let weights = CostWeights::default();
@@ -810,29 +806,6 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
             / N as f64,
     });
 
-    // Columnar group update over the same input. The batch is converted once
-    // outside the timed loop — the engine columnarizes at input narrowing and
-    // amortizes the conversion over every operator above it.
-    let agg_cb = ColumnarBatch::from_rows(&input).expect("rectangular batch");
-    let agg_sel: Vec<u32> = (0..agg_cb.len() as u32).collect();
-    let agg_masks = agg_cb.masks.clone();
-    micro.push(KernelTiming {
-        name: "group_update_vectorized".into(),
-        ops: N,
-        kernel_ns_per_op: time_min_secs(REPS, || {
-            let mut st = AggState::new();
-            let view = ColsView { batch: &agg_cb, sel: &agg_sel, masks: &agg_masks };
-            st.execute_columnar(view, &spec, &[true], &weights, &WorkCounter::new()).unwrap();
-        }) * 1e9
-            / N as f64,
-        reference_ns_per_op: time_min_secs(REPS, || {
-            let mut st = RefAggState::new();
-            st.execute(input.clone(), &group_by, &aggs, &[true], &weights, &WorkCounter::new())
-                .unwrap();
-        }) * 1e9
-            / N as f64,
-    });
-
     // Predicate eval: four `col < const` branches over N rows — the
     // kernel's `ColCmpLit` fast path vs recursive interpretation.
     let branches: Vec<SelectBranch> = (0..4u16)
@@ -850,30 +823,6 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         kernel_ns_per_op: time_min_secs(REPS, || {
             apply_select(sel_input.clone(), &branches, &compiled, &weights, &WorkCounter::new())
                 .unwrap();
-        }) * 1e9
-            / (N * branches.len()) as f64,
-        reference_ns_per_op: time_min_secs(REPS, || {
-            ref_apply_select(sel_input.clone(), &branches, &weights, &WorkCounter::new()).unwrap();
-        }) * 1e9
-            / (N * branches.len()) as f64,
-    });
-
-    // Selection-vector predicate eval over the columnar twin of the same
-    // input (conversion outside the loop, same amortization argument as the
-    // group-update micro; the per-iter clones mirror the row variants').
-    let sel_cb = ColumnarBatch::from_rows(&sel_input).expect("rectangular batch");
-    let sel_sel: Vec<u32> = (0..sel_cb.len() as u32).collect();
-    let sel_masks = sel_cb.masks.clone();
-    micro.push(KernelTiming {
-        name: "predicate_eval_vectorized".into(),
-        ops: N * branches.len(),
-        kernel_ns_per_op: time_min_secs(REPS, || {
-            let delta = VecDelta::Cols {
-                batch: sel_cb.clone(),
-                sel: sel_sel.clone(),
-                masks: sel_masks.clone(),
-            };
-            select_columnar(delta, &branches, &compiled, &weights, &WorkCounter::new()).unwrap();
         }) * 1e9
             / (N * branches.len()) as f64,
         reference_ns_per_op: time_min_secs(REPS, || {
@@ -915,28 +864,12 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         &feeds,
         CostWeights::default(),
     )?;
-    let vectorized_run = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &env.data.catalog,
-        &feeds,
-        CostWeights::default(),
-    )?;
     assert_eq!(
         kernel_run.total_work.get().to_bits(),
         reference_run.total_work.get().to_bits(),
         "datapaths must charge bit-identical work"
     );
     assert_eq!(kernel_run.results, reference_run.results, "datapaths must agree on results");
-    assert_eq!(
-        vectorized_run.total_work.get().to_bits(),
-        reference_run.total_work.get().to_bits(),
-        "vectorized datapath must charge bit-identical work"
-    );
-    assert_eq!(
-        vectorized_run.results, reference_run.results,
-        "vectorized datapath must agree on results"
-    );
     const ENGINE_REPS: usize = 5;
     let kernel_secs = time_min_secs(ENGINE_REPS, || {
         execute_planned_deltas(
@@ -958,18 +891,7 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         )
         .unwrap();
     });
-    let vectorized_secs = time_min_secs(ENGINE_REPS, || {
-        execute_planned_deltas_vectorized(
-            &planned.plan,
-            planned.paces.as_slice(),
-            &env.data.catalog,
-            &feeds,
-            CostWeights::default(),
-        )
-        .unwrap();
-    });
     let engine_speedup = reference_secs / kernel_secs;
-    let vectorized_speedup = reference_secs / vectorized_secs;
 
     let mut rows_out: Vec<Vec<String>> = micro
         .iter()
@@ -988,12 +910,6 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
         format!("{reference_secs:.3}"),
         format!("{engine_speedup:.2}x"),
     ]);
-    rows_out.push(vec![
-        "engine vectorized (scaling workload, s)".into(),
-        format!("{vectorized_secs:.3}"),
-        format!("{reference_secs:.3}"),
-        format!("{vectorized_speedup:.2}x"),
-    ]);
     print_table(
         &format!("Kernel datapath vs reference — sf {}, seed {}", p.sf, p.seed),
         &["kernel", "kernels ns/op", "reference ns/op", "speedup"],
@@ -1008,9 +924,7 @@ pub fn kernel_bench(p: &Params) -> Result<()> {
             "subplans": planned.plan.len(),
             "kernel_wall_secs_min": kernel_secs,
             "reference_wall_secs_min": reference_secs,
-            "vectorized_wall_secs_min": vectorized_secs,
             "speedup": engine_speedup,
-            "vectorized_speedup": vectorized_speedup,
             "total_work_bits": format!("{:016x}", kernel_run.total_work.get().to_bits()),
         }),
     );

@@ -228,15 +228,6 @@ pub struct AggSpec {
 }
 
 impl AggSpec {
-    /// The input columns the columnar update path reads from typed columns:
-    /// every group key or aggregate argument that is a bare column. Computed
-    /// scalars evaluate over backing rows and need no materialized column,
-    /// so they simply don't appear here; the executor's late-materialization
-    /// analysis feeds this to `ColumnarBatch::from_rows_pruned`.
-    pub(crate) fn columnar_cols(&self) -> Vec<usize> {
-        self.group_by.iter().chain(&self.args).filter_map(CompiledScalar::as_col).collect()
-    }
-
     /// Lower the planner's group-by and aggregate expressions.
     pub fn compile(group_by: &[(Expr, String)], aggs: &[AggExpr]) -> AggSpec {
         AggSpec {
@@ -383,122 +374,9 @@ impl AggState {
         self.flush_touched(touched, weights, counter, trace)
     }
 
-    /// Columnar-input execution for `ExecMode::Vectorized`. Every group-by
-    /// and argument scalar gets a per-scalar source: a bare in-bounds column
-    /// is read straight from the typed column; anything else (computed
-    /// expressions like TPC-H's `price * (1 - discount)`, or an
-    /// out-of-bounds column reference) evaluates the same compiled program
-    /// over the batch's rows — backing rows when present, a scratch row
-    /// otherwise — producing the same values *and the same errors* as the
-    /// row path. When all group keys are columns, the per-group key
-    /// `Vec<Value>` is materialized *lazily*, only on a group's first touch,
-    /// instead of once per input row; with a computed key the row path's
-    /// eval-keys-first order is kept so interner mutations line up. Flush
-    /// logic, emission order, and charges are shared with
-    /// [`Self::execute_traced`], so outputs are bit-identical.
-    pub fn execute_columnar(
-        &mut self,
-        view: crate::vectorized::ColsView<'_>,
-        spec: &AggSpec,
-        agg_int: &[bool],
-        weights: &CostWeights,
-        counter: &WorkCounter,
-    ) -> Result<DeltaBatch> {
-        let arity = view.batch.arity();
-        let group_src: Vec<Option<usize>> =
-            spec.group_by.iter().map(|s| s.as_col().filter(|&c| c < arity)).collect();
-        let arg_src: Vec<Option<usize>> =
-            spec.args.iter().map(|s| s.as_col().filter(|&c| c < arity)).collect();
-        let lazy_keys = group_src.iter().all(Option::is_some);
-        let needs_rows = !lazy_keys || arg_src.iter().any(Option::is_none);
-        let backing = view.batch.backing_rows();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        counter.charge(OpKind::AggUpdate, weights.agg_update, view.len() * spec.funcs.len().max(1));
-        let mut touched: Vec<(u32, Vec<Value>, u32)> = Vec::new();
-        let mut scratch_row: Vec<Value> = Vec::new();
-        let mut key_vals: Vec<Value> = Vec::with_capacity(spec.group_by.len());
-        for (j, (&i, &mask)) in view.sel.iter().zip(view.masks).enumerate() {
-            let i = i as usize;
-            let row_vals: Option<&[Value]> = if needs_rows {
-                Some(match backing {
-                    Some(rows) => rows[i].values(),
-                    None => {
-                        scratch_row.clear();
-                        for c in &view.batch.columns {
-                            scratch_row.push(c.value_at(i));
-                        }
-                        &scratch_row
-                    }
-                })
-            } else {
-                None
-            };
-            self.scratch.clear();
-            if lazy_keys {
-                for s in &group_src {
-                    let c = s.expect("lazy_keys implies all columns");
-                    self.scratch.push_value(&view.batch.columns[c].value_at(i), &mut self.interner);
-                }
-            } else {
-                let rv = row_vals.expect("computed key implies needs_rows");
-                key_vals.clear();
-                for (g, src) in spec.group_by.iter().zip(&group_src) {
-                    key_vals.push(match src {
-                        Some(c) => view.batch.columns[*c].value_at(i),
-                        None => g.eval(rv)?,
-                    });
-                }
-                for v in &key_vals {
-                    self.scratch.push_value(v, &mut self.interner);
-                }
-            }
-            let id = self.groups.id_or_insert_with(self.scratch.as_words(), GroupState::default);
-            let group = self.groups.get_by_id_mut(id).expect("live group");
-            if group.touched_at != epoch {
-                group.touched_at = epoch;
-                let kv = if lazy_keys {
-                    group_src
-                        .iter()
-                        .map(|s| view.batch.columns[s.expect("lazy keys")].value_at(i))
-                        .collect()
-                } else {
-                    key_vals.clone()
-                };
-                touched.push((id, kv, j as u32));
-            }
-            let weight = view.batch.weights[i];
-            refine_classes(group, mask, spec, agg_int);
-            for class in &mut group.classes {
-                if class.mask.is_subset_of(mask) {
-                    class.rows += weight;
-                    for ((acc, arg), src) in
-                        class.accums.iter_mut().zip(&spec.args).zip(&arg_src)
-                    {
-                        match src {
-                            Some(c) => acc.update(
-                                &view.batch.columns[*c].value_at(i),
-                                weight,
-                                weights,
-                                counter,
-                            )?,
-                            None => match arg.eval_ref(row_vals.expect("computed arg"))? {
-                                Ok(v) => acc.update(v, weight, weights, counter)?,
-                                Err(v) => acc.update(&v, weight, weights, counter)?,
-                            },
-                        }
-                    }
-                }
-            }
-        }
-        self.flush_touched(touched, weights, counter, None)
-    }
-
     /// Flush: per touched group, retract stale output rows and emit new
-    /// ones (unchanged pairs cancel). Shared verbatim by the row and
-    /// columnar update loops — the flush is where emission order and
-    /// `AggEmit` charges are decided, so sharing it is what makes the two
-    /// datapaths bit-identical.
+    /// ones (unchanged pairs cancel). This is where emission order and
+    /// `AggEmit` charges are decided.
     fn flush_touched(
         &mut self,
         touched: Vec<(u32, Vec<Value>, u32)>,

@@ -176,49 +176,20 @@ impl JoinState {
             key_rows(&left_delta, keys.side(false), stride, &mut self.interner, &mut self.scratch)?;
         let right_keyed =
             key_rows(&right_delta, keys.side(true), stride, &mut self.interner, &mut self.scratch)?;
-        self.execute_with_keys(left_delta, left_keyed, right_delta, right_keyed, weights, counter, trace)
+        self.execute_with_keys(
+            left_delta,
+            left_keyed,
+            right_delta,
+            right_keyed,
+            weights,
+            counter,
+            trace,
+        )
     }
 
-    /// Columnar-input execution for `ExecMode::Vectorized`: keys are encoded
-    /// straight from the batch's typed columns when every key scalar is a
-    /// bare column reference (the common case), skipping per-row
-    /// `Arc<[Value]>` traversal; anything fancier falls back to row-keying
-    /// the materialized batch. Probe/insert/emit share
-    /// [`Self::execute_traced`]'s body, so order, weights, masks, and
-    /// charges are bit-identical.
-    pub fn execute_columnar(
-        &mut self,
-        left: crate::vectorized::ColsView<'_>,
-        right: crate::vectorized::ColsView<'_>,
-        keys: &JoinKeys,
-        weights: &CostWeights,
-        counter: &WorkCounter,
-    ) -> Result<DeltaBatch> {
-        let stride = keys.stride();
-        let left_rows = left.to_rows();
-        let right_rows = right.to_rows();
-        let left_keyed = key_rows_columnar(
-            &left,
-            &left_rows,
-            keys.side(false),
-            stride,
-            &mut self.interner,
-            &mut self.scratch,
-        )?;
-        let right_keyed = key_rows_columnar(
-            &right,
-            &right_rows,
-            keys.side(true),
-            stride,
-            &mut self.interner,
-            &mut self.scratch,
-        )?;
-        self.execute_with_keys(left_rows, left_keyed, right_rows, right_keyed, weights, counter, None)
-    }
-
-    /// The probe → insert-left → probe → insert-right → emit body shared by
-    /// the row and columnar entry points. `left_keyed`/`right_keyed` index
-    /// into their respective delta batches.
+    /// The probe → insert-left → probe → insert-right → emit body behind
+    /// [`Self::execute_traced`]. `left_keyed`/`right_keyed` index into their
+    /// respective delta batches.
     #[allow(clippy::too_many_arguments)]
     fn execute_with_keys(
         &mut self,
@@ -457,47 +428,6 @@ fn key_rows<'a>(
         }
         out.arena.extend_from_slice(scratch.as_words());
         out.rows.push(i as u32);
-    }
-    Ok(out)
-}
-
-/// Columnar key encoding: when every key scalar is a bare in-bounds column,
-/// keys are read straight from the typed columns of the selected rows —
-/// `KeyBuf::push_value` sees the same `Value`s the row path's `eval_ref`
-/// produces, so the encoded words (and interner evolution) are identical.
-/// Returned row indices refer to `materialized` (selection order), which is
-/// the batch [`JoinState::execute_with_keys`] later indexes.
-fn key_rows_columnar<'a>(
-    view: &crate::vectorized::ColsView<'_>,
-    materialized: &DeltaBatch,
-    key_scalars: impl Iterator<Item = &'a CompiledScalar> + Clone,
-    stride: usize,
-    interner: &mut StrInterner,
-    scratch: &mut KeyBuf,
-) -> Result<KeyedRows> {
-    let cols: Option<Vec<usize>> =
-        key_scalars.clone().map(|s| s.as_col().filter(|&c| c < view.batch.arity())).collect();
-    let Some(cols) = cols else {
-        // Computed or out-of-bounds key expression: row-path fallback
-        // (including its error behavior).
-        return key_rows(materialized, key_scalars, stride, interner, scratch);
-    };
-    let mut out = KeyedRows {
-        arena: Vec::with_capacity(view.len() * stride),
-        stride,
-        rows: Vec::with_capacity(view.len()),
-    };
-    'rows: for (j, &i) in view.sel.iter().enumerate() {
-        scratch.clear();
-        for &c in &cols {
-            let col = &view.batch.columns[c];
-            if col.is_null_at(i as usize) {
-                continue 'rows; // NULL keys never join
-            }
-            scratch.push_value(&col.value_at(i as usize), interner);
-        }
-        out.arena.extend_from_slice(scratch.as_words());
-        out.rows.push(j as u32);
     }
     Ok(out)
 }

@@ -24,9 +24,7 @@
 
 use crate::eval::{eval_arithmetic, eval_comparison, to_tribool};
 use crate::expr::{BinaryOp, Expr, LikePattern, ScalarFunc};
-use ishare_common::{days_to_ymd, norm_f64_bits, Error, Result, Value};
-use ishare_storage::columnar::{Column, ColumnBuilder, ColumnarBatch};
-use std::cmp::Ordering;
+use ishare_common::{days_to_ymd, Error, Result, Value};
 
 /// One lowered expression node; children are arena indices.
 #[derive(Debug, Clone)]
@@ -176,17 +174,6 @@ impl Program {
     }
 }
 
-impl Program {
-    /// `Some(i)` iff this program is a bare column reference — the batch
-    /// projection kernel turns such outputs into column gathers.
-    fn as_col(&self) -> Option<usize> {
-        match &self.nodes[self.root as usize] {
-            Node::Col(i) => Some(*i as usize),
-            _ => None,
-        }
-    }
-}
-
 /// Post-order lowering: children first, so every child index is final
 /// before its parent node is pushed.
 fn lower(expr: &Expr, nodes: &mut Vec<Node>) -> u32 {
@@ -255,19 +242,6 @@ impl CompiledPredicate {
         CompiledPredicate::General(Program::compile(expr))
     }
 
-    /// The single column the `ColCmpLit` fast path reads, if this predicate
-    /// compiled to that shape. `True` reads nothing and `General` programs
-    /// evaluate over backing rows — so this is exactly the set of columns
-    /// [`Self::eval_batch`] needs materialized, which late-materializing
-    /// callers feed to `ColumnarBatch::from_rows_pruned`.
-    #[inline]
-    pub fn fast_path_col(&self) -> Option<usize> {
-        match self {
-            CompiledPredicate::ColCmpLit { col, .. } => Some(*col),
-            CompiledPredicate::True | CompiledPredicate::General(_) => None,
-        }
-    }
-
     /// Evaluate as a filter predicate: NULL counts as *not selected*
     /// (identical to [`crate::eval::eval_predicate`]).
     #[inline]
@@ -293,201 +267,6 @@ impl CompiledPredicate {
             },
         }
     }
-
-    /// Batch form of [`Self::matches`]: evaluate over the rows of `batch`
-    /// named by the selection vector `sel` (ascending) and append the
-    /// indices of *matching* rows to `out`, preserving order.
-    ///
-    /// Row-for-row semantics are identical to `matches` — NULL column or
-    /// NULL literal is "not selected", `ColumnOutOfBounds` on a short row —
-    /// but the `ColCmpLit` shape runs as one tight loop per
-    /// (column type, literal type) pair with the operator lowered to an
-    /// [`Ordering`] lookup table, instead of per-row enum dispatch. Callers
-    /// must not pass an empty `sel` expecting bounds errors: a batch with no
-    /// selected rows evaluates nothing, exactly like the row path.
-    pub fn eval_batch(
-        &self,
-        batch: &ColumnarBatch,
-        sel: &[u32],
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        if sel.is_empty() {
-            return Ok(());
-        }
-        match self {
-            CompiledPredicate::True => out.extend_from_slice(sel),
-            CompiledPredicate::ColCmpLit { col, op, lit } => {
-                let column = batch
-                    .columns
-                    .get(*col)
-                    .ok_or(Error::ColumnOutOfBounds { index: *col, arity: batch.arity() })?;
-                if lit.is_null() {
-                    return Ok(());
-                }
-                let tbl = op_table(*op);
-                match (column, lit) {
-                    // Same-type arms mirror `Value::cmp`'s direct arms…
-                    (Column::Int(v), Value::Int(y)) => {
-                        for &i in sel {
-                            if tbl_hit(tbl, v[i as usize].cmp(y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    (Column::Date(v), Value::Date(y)) => {
-                        for &i in sel {
-                            if tbl_hit(tbl, v[i as usize].cmp(y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    (Column::Bool(v), Value::Bool(y)) => {
-                        for &i in sel {
-                            if tbl_hit(tbl, v[i as usize].cmp(y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    // …cross-numeric arms go through f64 like `Value::cmp`'s
-                    // rank-2 fallback (Float/Float also lands there)…
-                    (Column::Int(v), lit) if value_rank(lit) == 2 => {
-                        let y = lit.as_f64().expect("rank-2 literal");
-                        for &i in sel {
-                            if tbl_hit(tbl, f64_total_cmp(v[i as usize] as f64, y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    (Column::Float(v), lit) if value_rank(lit) == 2 => {
-                        let y = lit.as_f64().expect("rank-2 literal");
-                        for &i in sel {
-                            if tbl_hit(tbl, f64_total_cmp(f64::from_bits(v[i as usize]), y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    (Column::Date(v), lit) if value_rank(lit) == 2 => {
-                        let y = lit.as_f64().expect("rank-2 literal");
-                        for &i in sel {
-                            if tbl_hit(tbl, f64_total_cmp(v[i as usize] as f64, y)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    // …string columns pre-resolve one verdict per dictionary
-                    // id, so the row loop is a table lookup…
-                    (Column::Str { ids, dict }, Value::Str(y)) => {
-                        let verdicts: Vec<bool> =
-                            dict.iter().map(|d| tbl_hit(tbl, (**d).cmp(y))).collect();
-                        for &i in sel {
-                            if verdicts[ids[i as usize] as usize] {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    // …NULLs only occur in Mixed columns; fall back to the
-                    // row comparison there…
-                    (Column::Mixed(v), lit) => {
-                        for &i in sel {
-                            let x = &v[i as usize];
-                            if !x.is_null() && tbl_hit(tbl, x.cmp(lit)) {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    // …and a typed column against a different-rank literal
-                    // has one constant verdict (rank order) for every row.
-                    (column, lit) => {
-                        let col_rank = match column {
-                            Column::Bool(_) => 1,
-                            Column::Int(_) | Column::Float(_) | Column::Date(_) => 2,
-                            Column::Str { .. } => 3,
-                            Column::Mixed(_) => unreachable!("handled above"),
-                            Column::Pruned { .. } => {
-                                panic!("read of a pruned column (bad needed-column set)")
-                            }
-                        };
-                        if tbl_hit(tbl, col_rank.cmp(&value_rank(lit))) {
-                            out.extend_from_slice(sel);
-                        }
-                    }
-                }
-            }
-            CompiledPredicate::General(p) => {
-                // Whole-row programs read the batch's backing rows when it
-                // has them (always, for `from_rows`-family batches — and
-                // required for pruned ones) instead of reassembling scratch
-                // rows cell by cell. Values are identical either way: the
-                // columnar round trip is lossless.
-                let backing = batch.backing_rows();
-                let mut scratch: Vec<Value> = Vec::with_capacity(batch.arity());
-                for &i in sel {
-                    let row: &[Value] = match backing {
-                        Some(rows) => rows[i as usize].values(),
-                        None => {
-                            scratch.clear();
-                            for c in &batch.columns {
-                                scratch.push(c.value_at(i as usize));
-                            }
-                            &scratch
-                        }
-                    };
-                    match p.eval(row)? {
-                        Value::Bool(true) => out.push(i),
-                        Value::Bool(false) | Value::Null => {}
-                        other => {
-                            return Err(Error::TypeMismatch(format!(
-                                "predicate evaluated to {other}"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `Value::type_rank`, restated for the batch kernels (Null < Bool <
-/// numeric < Str).
-#[inline]
-fn value_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) | Value::Date(_) => 2,
-        Value::Str(_) => 3,
-    }
-}
-
-/// The cross-numeric ordering `Value::cmp` uses: `partial_cmp`, falling back
-/// to normalised-bit comparison when NaN is involved.
-#[inline]
-fn f64_total_cmp(x: f64, y: f64) -> Ordering {
-    x.partial_cmp(&y).unwrap_or_else(|| norm_f64_bits(x).cmp(&norm_f64_bits(y)))
-}
-
-/// Lower a comparison operator to its verdict per [`Ordering`]
-/// (`[Less, Equal, Greater]`), turning per-row operator dispatch into an
-/// array lookup.
-#[inline]
-fn op_table(op: BinaryOp) -> [bool; 3] {
-    match op {
-        BinaryOp::Eq => [false, true, false],
-        BinaryOp::Ne => [true, false, true],
-        BinaryOp::Lt => [true, false, false],
-        BinaryOp::Le => [true, true, false],
-        BinaryOp::Gt => [false, false, true],
-        BinaryOp::Ge => [false, true, true],
-        other => unreachable!("non-comparison op {other:?} in ColCmpLit"),
-    }
-}
-
-/// Index the verdict table by an [`Ordering`] (`Less`=-1, `Equal`=0,
-/// `Greater`=1).
-#[inline(always)]
-fn tbl_hit(tbl: [bool; 3], o: Ordering) -> bool {
-    tbl[(o as i8 + 1) as usize]
 }
 
 /// A compiled scalar (join key, group key, or aggregate argument).
@@ -516,17 +295,6 @@ impl CompiledScalar {
                 row.get(*i).cloned().ok_or(Error::ColumnOutOfBounds { index: *i, arity: row.len() })
             }
             CompiledScalar::General(p) => p.eval(row),
-        }
-    }
-
-    /// The bare column index when this scalar is a plain column reference —
-    /// the eligibility test for columnar key encoding (vectorized join/agg
-    /// read the key straight out of the batch's column).
-    #[inline]
-    pub fn as_col(&self) -> Option<usize> {
-        match self {
-            CompiledScalar::Col(i) => Some(*i),
-            CompiledScalar::General(_) => None,
         }
     }
 
@@ -653,18 +421,6 @@ impl CompiledProjection {
         self.identity == Some(input_arity)
     }
 
-    /// The input columns [`Self::project_batch`] reads *columnar* — bare
-    /// column outputs, which become gathers. Computed outputs evaluate over
-    /// backing rows and need no materialized columns. Late-materializing
-    /// callers union this into the needed set fed to
-    /// `ColumnarBatch::from_rows_pruned`.
-    pub fn input_cols(&self) -> Vec<usize> {
-        match &self.cols {
-            Some(cols) => cols.clone(),
-            None => self.progs.iter().filter_map(Program::as_col).collect(),
-        }
-    }
-
     /// Compute the projected values for one row. Callers should take the
     /// [`Self::is_identity_for`] fast path first.
     #[inline]
@@ -683,72 +439,6 @@ impl CompiledProjection {
         let mut out = Vec::with_capacity(self.progs.len());
         for p in &self.progs {
             out.push(p.eval(row)?);
-        }
-        Ok(out)
-    }
-
-    /// Batch form of [`Self::project`]: compute the output columns for the
-    /// rows of `batch` named by `sel`, in selection order.
-    ///
-    /// All-column projections (and the bare-column outputs of mixed lists)
-    /// become `Column::gather` calls — no `Value` is materialized at all;
-    /// only genuinely computed outputs evaluate row-wise, sharing one
-    /// scratch row per input row across all computed expressions. Value
-    /// semantics per row are identical to `project`; when several outputs
-    /// can error, the *first* error reported may differ from the row path's
-    /// left-to-right order (error runs are outside the bit-identity gates).
-    pub fn project_batch(&self, batch: &ColumnarBatch, sel: &[u32]) -> Result<Vec<Column>> {
-        if sel.is_empty() {
-            return Ok((0..self.arity()).map(|_| Column::Mixed(Vec::new())).collect());
-        }
-        if let Some(cols) = &self.cols {
-            let mut out = Vec::with_capacity(cols.len());
-            for &i in cols {
-                let c = batch
-                    .columns
-                    .get(i)
-                    .ok_or(Error::ColumnOutOfBounds { index: i, arity: batch.arity() })?;
-                out.push(c.gather(sel));
-            }
-            return Ok(out);
-        }
-        // Mixed list: gather the bare-column outputs, row-eval the rest.
-        let shapes: Vec<Option<usize>> = self.progs.iter().map(Program::as_col).collect();
-        let mut builders: Vec<Option<ColumnBuilder>> =
-            shapes.iter().map(|s| s.is_none().then(ColumnBuilder::new)).collect();
-        if builders.iter().any(Option::is_some) {
-            // Same backing-row preference as `eval_batch`'s general arm.
-            let backing = batch.backing_rows();
-            let mut scratch: Vec<Value> = Vec::with_capacity(batch.arity());
-            for &i in sel {
-                let row: &[Value] = match backing {
-                    Some(rows) => rows[i as usize].values(),
-                    None => {
-                        scratch.clear();
-                        for c in &batch.columns {
-                            scratch.push(c.value_at(i as usize));
-                        }
-                        &scratch
-                    }
-                };
-                for (p, b) in self.progs.iter().zip(&mut builders) {
-                    if let Some(b) = b {
-                        b.push(&p.eval(row)?);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.progs.len());
-        for (shape, b) in shapes.iter().zip(builders) {
-            out.push(match (shape, b) {
-                (Some(i), _) => batch
-                    .columns
-                    .get(*i)
-                    .ok_or(Error::ColumnOutOfBounds { index: *i, arity: batch.arity() })?
-                    .gather(sel),
-                (None, Some(b)) => b.finish(),
-                (None, None) => unreachable!("computed output without builder"),
-            });
         }
         Ok(out)
     }
@@ -869,108 +559,6 @@ mod tests {
         let general = CompiledProjection::compile(&[Expr::col(0).add(Expr::lit(1i64))]);
         assert_eq!(general.project(&r).unwrap(), vec![Value::Int(11)]);
         assert_eq!(general.arity(), 1);
-    }
-
-    fn batch() -> ishare_storage::ColumnarBatch {
-        use ishare_storage::{DeltaRow, Row};
-        let rows = vec![
-            vec![Value::Int(10), Value::Float(2.5), Value::str("PROMO"), Value::Null],
-            vec![Value::Int(-3), Value::Float(f64::NAN), Value::str("AIR"), Value::Int(7)],
-            vec![Value::Int(10), Value::Float(-0.0), Value::str("RAIL"), Value::str("x")],
-            vec![Value::Int(2), Value::Float(2.5), Value::str("PROMO"), Value::Bool(true)],
-        ];
-        let delta: ishare_storage::DeltaBatch = rows
-            .into_iter()
-            .map(|r| {
-                DeltaRow::insert(
-                    Row::new(r),
-                    ishare_common::QuerySet::single(ishare_common::QueryId(0)),
-                )
-            })
-            .collect();
-        ishare_storage::ColumnarBatch::from_rows(&delta).unwrap()
-    }
-
-    /// `eval_batch` selects exactly the rows `matches` accepts, for every
-    /// fast-path shape (typed loops, dictionary strings, rank mismatch,
-    /// Mixed fallback, general programs).
-    #[test]
-    fn batch_predicate_agrees_with_row_path() {
-        let b = batch();
-        let preds = [
-            Expr::true_lit(),
-            Expr::col(0).eq(Expr::lit(10i64)),
-            Expr::col(0).ne(Expr::lit(10i64)),
-            Expr::col(0).lt(Expr::lit(3i64)),
-            Expr::col(0).le(Expr::lit(2.5f64)),
-            Expr::col(0).gt(Expr::lit(2.0f64)),
-            Expr::col(1).ge(Expr::lit(2i64)),
-            Expr::col(1).eq(Expr::lit(f64::NAN)),
-            Expr::col(1).eq(Expr::lit(0i64)),
-            Expr::col(2).eq(Expr::lit(Value::str("PROMO"))),
-            Expr::col(2).lt(Expr::lit(Value::str("B"))),
-            Expr::col(0).eq(Expr::lit(Value::str("PROMO"))),
-            Expr::col(0).lt(Expr::lit(Value::str("PROMO"))),
-            Expr::col(0).eq(Expr::lit(Value::Null)),
-            Expr::col(3).eq(Expr::lit(7i64)),
-            Expr::col(3).gt(Expr::lit(Value::Bool(false))),
-            Expr::col(0).gt(Expr::lit(0i64)).and(Expr::col(2).eq(Expr::lit(Value::str("PROMO")))),
-        ];
-        let all: Vec<u32> = (0..b.len() as u32).collect();
-        let some: Vec<u32> = vec![1, 3];
-        for e in preds {
-            let p = CompiledPredicate::compile(&e);
-            for sel in [&all, &some] {
-                let mut got = Vec::new();
-                p.eval_batch(&b, sel, &mut got).unwrap();
-                let want: Vec<u32> = sel
-                    .iter()
-                    .copied()
-                    .filter(|&i| p.matches(b.row_at(i as usize).values()).unwrap())
-                    .collect();
-                assert_eq!(got, want, "pred {e:?} sel {sel:?}");
-            }
-        }
-        // Out-of-bounds errors match the row path; empty selections, like
-        // the row path over zero rows, never evaluate and so never error.
-        let p = CompiledPredicate::compile(&Expr::col(9).gt(Expr::lit(5i64)));
-        let mut out = Vec::new();
-        assert_eq!(
-            p.eval_batch(&b, &all, &mut out).unwrap_err().to_string(),
-            p.matches(b.row_at(0).values()).unwrap_err().to_string()
-        );
-        p.eval_batch(&b, &[], &mut out).unwrap();
-        assert!(out.is_empty());
-    }
-
-    /// `project_batch` produces column-for-column what `project` produces
-    /// row-for-row, on gather, mixed, and general projection lists.
-    #[test]
-    fn batch_projection_agrees_with_row_path() {
-        let b = batch();
-        let lists: Vec<Vec<Expr>> = vec![
-            vec![Expr::col(0), Expr::col(1), Expr::col(2), Expr::col(3)],
-            vec![Expr::col(2), Expr::col(0)],
-            vec![Expr::col(0), Expr::col(0).add(Expr::lit(1i64))],
-            vec![Expr::col(0).mul(Expr::col(1))],
-        ];
-        let sel: Vec<u32> = vec![0, 2, 3];
-        for exprs in lists {
-            let proj = CompiledProjection::compile(&exprs);
-            let cols = proj.project_batch(&b, &sel).unwrap();
-            assert_eq!(cols.len(), proj.arity());
-            for (j, &i) in sel.iter().enumerate() {
-                let want = proj.project(b.row_at(i as usize).values()).unwrap();
-                let got: Vec<Value> = cols.iter().map(|c| c.value_at(j)).collect();
-                assert_eq!(got, want, "list {exprs:?} row {i}");
-            }
-        }
-        // Errors propagate (string arithmetic), and bounds are checked.
-        let bad = CompiledProjection::compile(&[Expr::col(2).add(Expr::lit(1i64))]);
-        assert!(bad.project_batch(&b, &sel).is_err());
-        let oob = CompiledProjection::compile(&[Expr::col(9)]);
-        assert!(oob.project_batch(&b, &sel).is_err());
-        assert_eq!(oob.project_batch(&b, &[]).unwrap().len(), 1);
     }
 
     #[test]

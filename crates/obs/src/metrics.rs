@@ -320,27 +320,6 @@ pub fn record_partition_gauges(metrics: &mut MetricsRegistry, sp: usize, stats: 
     metrics.gauge_set(&format!("partition.sp{sp}.skew"), skew);
 }
 
-/// Record one subplan's vectorized batch statistics as gauges:
-/// `batch.sp{sp}.fill` (mean input batch length across the run — how much
-/// data each columnar conversion amortizes over) and
-/// `batch.sp{sp}.selectivity` (fraction of evaluated selection candidates
-/// surviving the subplan's marking selects — how dense the selection
-/// vectors stay). No-op when `batches == 0`, so non-vectorized runs emit
-/// nothing. Passive like every other gauge: recorded once at end of run.
-pub fn record_batch_gauges(
-    metrics: &mut MetricsRegistry,
-    sp: usize,
-    batches: u64,
-    mean_fill: f64,
-    selectivity: f64,
-) {
-    if batches == 0 {
-        return;
-    }
-    metrics.gauge_set(&format!("batch.sp{sp}.fill"), mean_fill);
-    metrics.gauge_set(&format!("batch.sp{sp}.selectivity"), selectivity);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,17 +425,6 @@ mod tests {
         assert_eq!(m.gauge("partition.sp3.skew"), None);
         record_partition_gauges(&mut m, 4, &[(0, 0.0), (0, 0.0)]);
         assert_eq!(m.gauge("partition.sp4.skew"), Some(1.0));
-    }
-
-    #[test]
-    fn batch_gauges_record_fill_and_selectivity() {
-        let mut m = MetricsRegistry::new();
-        record_batch_gauges(&mut m, 1, 4, 250.0, 0.125);
-        assert_eq!(m.gauge("batch.sp1.fill"), Some(250.0));
-        assert_eq!(m.gauge("batch.sp1.selectivity"), Some(0.125));
-        // A subplan that saw no batches (non-vectorized run) emits nothing.
-        record_batch_gauges(&mut m, 2, 0, 0.0, 1.0);
-        assert_eq!(m.gauge("batch.sp2.fill"), None);
     }
 
     #[test]

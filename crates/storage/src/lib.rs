@@ -7,10 +7,6 @@
 //! * [`DeltaRow`]/[`DeltaBatch`] — *signed, weighted* tuples annotated with a
 //!   query bitvector. Weight `+1` is an insertion, `-1` a deletion, and an
 //!   update is a deletion plus an insertion (Sec. 2.3 of the paper).
-//! * [`ColumnarBatch`]/[`Column`]/[`SelVec`] — the SoA twin of `DeltaBatch`
-//!   used by `ExecMode::Vectorized`: one typed `Vec` per column plus parallel
-//!   weight/mask vectors, with selection vectors so filters never
-//!   materialize survivors.
 //! * [`DeltaBuffer`] — the materialization buffer at a subplan boundary.
 //!   When a subplan's root has two or more parent subplans it materializes
 //!   its output so that each parent can consume the intermediate results *at
@@ -25,12 +21,10 @@
 
 pub mod buffer;
 pub mod catalog;
-pub mod columnar;
 pub mod row;
 pub mod schema;
 
 pub use buffer::{ConsumerId, DeltaBuffer, Retain};
 pub use catalog::{Catalog, ColumnStats, TableDef, TableStats};
-pub use columnar::{Column, ColumnBuilder, ColumnarBatch, SelVec};
 pub use row::{consolidate, DeltaBatch, DeltaRow, Row};
 pub use schema::{Field, Schema};

@@ -247,6 +247,7 @@ pub fn execute_churn_from_source(
     if initial.is_empty() {
         return Err(Error::InvalidConfig("churn run needs at least one initial query".into()));
     }
+    opts.source.validate()?;
     for ev in &script.events {
         if ev.den == 0 {
             return Err(Error::InvalidConfig("churn event with zero denominator".into()));
@@ -1676,6 +1677,25 @@ mod tests {
             assert_eq!(base.run.final_work, alt.run.final_work);
             assert_eq!(base.churn, alt.churn);
         }
+    }
+
+    #[test]
+    fn stop_after_zero_rejected() {
+        let c = catalog();
+        let f = feed(&c, 60);
+        let mut o = opts();
+        o.source.stop_after = Some(0);
+        let mut source = Source::in_order(&f);
+        let out = execute_churn_from_source(
+            &[(QueryId(0), q_all(&c))],
+            &tight(),
+            &ChurnScript::default(),
+            &c,
+            &mut source,
+            CostWeights::default(),
+            &o,
+        );
+        assert!(matches!(out, Err(Error::InvalidConfig(_))), "got {out:?}");
     }
 
     #[test]

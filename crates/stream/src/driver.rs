@@ -474,16 +474,6 @@ pub(crate) fn partition_gauges(report: &mut ObsReport, executors: &[SubplanExecu
     }
 }
 
-/// Record end-of-run vectorized batch gauges (per-subplan mean input batch
-/// length and select survival fraction) into an [`ObsReport`]'s registry.
-/// No-op for subplans that saw no batches — i.e. every non-vectorized run.
-pub(crate) fn batch_gauges(report: &mut ObsReport, executors: &[SubplanExecutor]) {
-    for (i, ex) in executors.iter().enumerate() {
-        let s = ex.batch_stats();
-        ishare_obs::record_batch_gauges(&mut report.metrics, i, s.batches, s.mean_fill(), s.selectivity());
-    }
-}
-
 /// Record end-of-run ingest gauges (per-partition ring high-water marks,
 /// producer stall ticks, consumer lag, delivered cuts) into an
 /// [`ObsReport`]'s registry.
@@ -554,7 +544,8 @@ pub struct SourceOptions {
     pub obs: Option<ObsConfig>,
     /// Stop (kill) the run after this many wavefronts have completed and
     /// committed, returning [`SourceOutcome::Suspended`] with the commit
-    /// log. `None` runs to completion.
+    /// log. `None` runs to completion; `Some(0)` is rejected with
+    /// [`Error::InvalidConfig`] before the first wavefront.
     pub stop_after: Option<usize>,
     /// A commit log from a previous (killed) run over the same workload.
     /// Each replayed wavefront's commit is verified against it; divergence —
@@ -586,6 +577,18 @@ pub struct SourceOptions {
 }
 
 impl SourceOptions {
+    /// Reject option values no run can honour. Called by every source-fed
+    /// entry point before the first wavefront.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.stop_after == Some(0) {
+            return Err(Error::InvalidConfig(
+                "stop_after must be at least 1 (a stop is taken after a committed wavefront)"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// The exec-layer options this run configures.
     pub(crate) fn exec_options(&self) -> ExecOptions {
         ExecOptions {
@@ -734,30 +737,6 @@ pub fn execute_planned_deltas_reference(
     .into_result()
 }
 
-/// [`execute_planned_deltas`] on the [`ExecMode::Vectorized`] datapath —
-/// columnar SoA batches with selection-vector kernels through the
-/// scan/select/project hot path (DESIGN.md §15). Everything measured (work
-/// totals, per-query `final_work`, results) is bit-identical to the default
-/// kernel datapath and the reference; only wall-clock differs.
-pub fn execute_planned_deltas_vectorized(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<(Row, i64)>>,
-    weights: CostWeights,
-) -> Result<RunResult> {
-    let mut source = Source::in_order(data);
-    execute_from_source_obs(
-        plan,
-        paces,
-        catalog,
-        &mut source,
-        weights,
-        SourceOptions { mode: ExecMode::Vectorized, ..Default::default() },
-    )?
-    .into_result()
-}
-
 /// [`execute_planned_deltas`] with intra-subplan data parallelism: every
 /// join and aggregate's state is hash-partitioned into `partitions` parts
 /// over the operator's encoded key (DESIGN.md §12). Results, work totals,
@@ -877,6 +856,7 @@ fn run_from_source(
     opts: SourceOptions,
     mut adapt: Option<&mut AdaptController>,
 ) -> Result<SourceOutcome> {
+    opts.validate()?;
     let run_started = Instant::now();
     let mut tick_list = build_schedule(plan, paces)?;
     let mut active_paces: Vec<u32> = paces.to_vec();
@@ -1014,7 +994,6 @@ fn run_from_source(
     if let Some(report) = obs_report.as_mut() {
         buffer_gauges(report, &base_buffers, &sp_buffers);
         partition_gauges(report, &executors);
-        batch_gauges(report, &executors);
         ingest_gauges(report, &source.stats());
         if let Some(ctrl) = adapt.as_deref() {
             adapt_gauges(report, ctrl);
@@ -1222,6 +1201,25 @@ mod tests {
             );
         }
         assert_eq!(eager.executions, 60);
+    }
+
+    /// `stop_after: Some(0)` names no committed wavefront to stop after; it
+    /// must be rejected up front, not silently run to completion.
+    #[test]
+    fn stop_after_zero_rejected() {
+        let c = catalog();
+        let plan = shared_plan(&c);
+        let feeds = insert_feeds(&data(&c, 10));
+        let mut source = Source::in_order(&feeds);
+        let out = execute_from_source_obs(
+            &plan,
+            &[2, 1, 1],
+            &c,
+            &mut source,
+            CostWeights::default(),
+            SourceOptions { stop_after: Some(0), ..Default::default() },
+        );
+        assert!(matches!(out, Err(Error::InvalidConfig(_))), "got {out:?}");
     }
 
     #[test]

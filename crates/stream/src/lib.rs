@@ -20,10 +20,10 @@
 //!
 //! Two drivers share that contract: the sequential reference driver
 //! ([`execute_planned`] / [`execute_planned_deltas`]) and the multi-threaded
-//! driver ([`execute_planned_parallel`] /
-//! [`execute_planned_deltas_parallel`]), which runs independent subplans of
-//! a scheduling wavefront concurrently while staying bit-identical to the
-//! sequential driver in every measured work number (see [`parallel`]).
+//! driver ([`execute_planned_deltas_parallel`]), which runs independent
+//! subplans of a scheduling wavefront concurrently while staying
+//! bit-identical to the sequential driver in every measured work number (see
+//! [`parallel`]).
 //!
 //! Both drivers also expose *source-fed* entry points
 //! ([`execute_from_source_obs`] / [`execute_from_source_parallel_obs`]) that
@@ -61,9 +61,8 @@ pub use admission::{
 pub use driver::{
     execute_adaptive_from_source_obs, execute_from_source_obs, execute_planned,
     execute_planned_deltas, execute_planned_deltas_obs, execute_planned_deltas_partitioned,
-    execute_planned_deltas_partitioned_obs, execute_planned_deltas_reference,
-    execute_planned_deltas_vectorized, execute_planned_obs, RunResult, SourceOptions,
-    SourceOutcome,
+    execute_planned_deltas_partitioned_obs, execute_planned_deltas_reference, execute_planned_obs,
+    RunResult, SourceOptions, SourceOutcome,
 };
 pub use ishare_exec::{ExecMode, ExecOptions};
 pub use ishare_ingest::{ChurnKind, ChurnRecord, CommitLog, Source, SourceConfig};
@@ -75,6 +74,5 @@ pub use measure::{missed_latency_stats, MissedLatencyStats};
 pub use parallel::{
     execute_adaptive_from_source_parallel_obs, execute_from_source_parallel_obs,
     execute_planned_deltas_parallel, execute_planned_deltas_parallel_obs,
-    execute_planned_deltas_parallel_partitioned_obs, execute_planned_parallel,
-    execute_planned_parallel_obs,
+    execute_planned_deltas_parallel_partitioned_obs, execute_planned_parallel_obs,
 };

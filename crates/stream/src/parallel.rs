@@ -31,9 +31,8 @@
 //! sequential driver performs within a front are no-ops anyway.
 
 use crate::driver::{
-    adapt_gauges, batch_gauges, buffer_gauges, commit_wavefront, feed_from_source, fold_run,
-    ingest_gauges, insert_feeds, partition_gauges, per_query_views, setup_engine,
-    wavefront_observation, AdaptRec,
+    adapt_gauges, buffer_gauges, commit_wavefront, feed_from_source, fold_run, ingest_gauges,
+    insert_feeds, partition_gauges, per_query_views, setup_engine, wavefront_observation, AdaptRec,
     EngineState, FrontRec, PollRec, RunResult, SourceOptions, SourceOutcome, TickRec,
 };
 use crate::schedule::{build_schedule, depth_levels, front_at, reschedule_after, Tick};
@@ -51,20 +50,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Parallel [`crate::execute_planned`]: insert-only rows, `threads` workers.
-pub fn execute_planned_parallel(
-    plan: &SharedPlan,
-    paces: &[u32],
-    catalog: &Catalog,
-    data: &HashMap<TableId, Vec<Row>>,
-    weights: CostWeights,
-    threads: usize,
-) -> Result<RunResult> {
-    let feeds = insert_feeds(data);
-    execute_planned_deltas_parallel(plan, paces, catalog, &feeds, weights, threads)
-}
-
-/// [`execute_planned_parallel`] with opt-in observability (see
+/// Parallel [`crate::execute_planned`] with opt-in observability:
+/// insert-only rows, `threads` workers (see
 /// [`execute_planned_deltas_parallel_obs`]).
 pub fn execute_planned_parallel_obs(
     plan: &SharedPlan,
@@ -202,6 +189,7 @@ fn run_from_source_parallel(
     if threads == 0 {
         return Err(Error::InvalidConfig("thread count must be at least 1".into()));
     }
+    opts.validate()?;
     let run_started = Instant::now();
     let mut schedule = build_schedule(plan, paces)?;
     let mut active_paces: Vec<u32> = paces.to_vec();
@@ -412,7 +400,6 @@ fn run_from_source_parallel(
     if let Some(report) = obs_report.as_mut() {
         buffer_gauges(report, &base_buffers, &sp_buffers);
         partition_gauges(report, &executors);
-        batch_gauges(report, &executors);
         ingest_gauges(report, &source.stats());
         if let Some(ctrl) = adapt.as_deref() {
             adapt_gauges(report, ctrl);
@@ -613,6 +600,51 @@ mod tests {
         let err =
             execute_planned_deltas_parallel(&plan, &paces, &c, &data, CostWeights::default(), 0);
         assert!(matches!(err, Err(Error::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn stop_after_zero_rejected() {
+        let (c, plan, data) = fan_out(2);
+        let paces = vec![1u32; plan.len()];
+        let mut source = Source::in_order(&data);
+        let out = execute_from_source_parallel_obs(
+            &plan,
+            &paces,
+            &c,
+            &mut source,
+            CostWeights::default(),
+            2,
+            SourceOptions { stop_after: Some(0), ..Default::default() },
+        );
+        assert!(matches!(out, Err(Error::InvalidConfig(_))), "got {out:?}");
+    }
+
+    /// The adaptive entry points share the drivers' run loops, so they
+    /// reject `stop_after: Some(0)` the same way.
+    #[test]
+    fn adaptive_stop_after_zero_rejected() {
+        use crate::driver::execute_adaptive_from_source_obs;
+        let (c, plan, data) = fan_out(2);
+        let paces = vec![1u32; plan.len()];
+        let opts = ishare_core::AdaptOptions::disabled();
+        let stop0 = || SourceOptions { stop_after: Some(0), ..Default::default() };
+        let w = CostWeights::default();
+        let mut ctrl = controller(&c, &plan, &paces, ishare_core::ConstraintMap::new(), opts);
+        let mut source = Source::in_order(&data);
+        let seq = execute_adaptive_from_source_obs(&plan, &c, &mut source, w, stop0(), &mut ctrl);
+        assert!(matches!(seq, Err(Error::InvalidConfig(_))), "sequential: got {seq:?}");
+        let mut ctrl = controller(&c, &plan, &paces, ishare_core::ConstraintMap::new(), opts);
+        let mut source = Source::in_order(&data);
+        let par = execute_adaptive_from_source_parallel_obs(
+            &plan,
+            &c,
+            &mut source,
+            w,
+            2,
+            stop0(),
+            &mut ctrl,
+        );
+        assert!(matches!(par, Err(Error::InvalidConfig(_))), "parallel: got {par:?}");
     }
 
     fn controller(

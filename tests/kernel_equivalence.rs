@@ -1,8 +1,7 @@
 //! Differential tests: the kernel datapath (`ExecMode::Kernels` — encoded
-//! keys, compiled expressions, flat operator state, batched work charges)
-//! and the columnar datapath (`ExecMode::Vectorized` — SoA batches,
-//! selection-vector kernels) are bit-identical to the original
-//! interpreter-shaped datapath (`ExecMode::Reference`).
+//! keys, compiled expressions, flat operator state, batched work charges) is
+//! bit-identical to the original interpreter-shaped datapath
+//! (`ExecMode::Reference`).
 //!
 //! Random shared plans — a scan+marking-select trunk fanning out to one
 //! aggregate subplan per query (SUM/COUNT/MIN/MAX), and a join-shaped
@@ -18,8 +17,8 @@ use ishare::core::{plan_workload, Approach, FinalWorkConstraint, PlanningOptions
 use ishare::stream::{
     execute_from_source_obs, execute_from_source_parallel_obs, execute_planned_deltas,
     execute_planned_deltas_parallel, execute_planned_deltas_partitioned,
-    execute_planned_deltas_reference, execute_planned_deltas_vectorized, ExecMode, RunResult,
-    Source, SourceConfig, SourceOptions, SourceOutcome,
+    execute_planned_deltas_reference, ExecMode, RunResult, Source, SourceConfig, SourceOptions,
+    SourceOutcome,
 };
 use ishare::tpch::{generate, queries::sharing_friendly_queries};
 use ishare_common::{CostWeights, DataType, QueryId, QuerySet, TableId, Value};
@@ -194,11 +193,11 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) -> Result<(),
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Kernels ≡ vectorized ≡ reference over random plans (aggregate-only
-    /// and join shaped), random insert+delete feeds, random paces —
-    /// sequentially, at 2/4 worker threads, and (vectorized) at 2/4 state
-    /// partitions. Every datapath/knob combination must land on the
-    /// reference's bits.
+    /// Kernels ≡ reference over random plans (aggregate-only and join
+    /// shaped), random insert+delete feeds, random paces — sequentially, at
+    /// 2/4 worker threads (alone and stacked on 2 state partitions), and at
+    /// 2/4 state partitions fanned over 2 partition threads. Every knob
+    /// combination must land on the reference's bits.
     #[test]
     fn kernels_match_reference(
         n_queries in 2usize..5,
@@ -244,45 +243,48 @@ proptest! {
             execute_planned_deltas(&plan, paces, &c, &feeds, CostWeights::default()).unwrap();
         let shape = if join_shape { "join" } else { "agg" };
         assert_bit_identical(&reference, &kernels, &format!("{shape} sequential"))?;
-        let vectorized =
-            execute_planned_deltas_vectorized(&plan, paces, &c, &feeds, CostWeights::default())
-                .unwrap();
-        assert_bit_identical(&reference, &vectorized, &format!("{shape} vectorized"))?;
         for threads in [2usize, 4] {
             let par = execute_planned_deltas_parallel(
                 &plan, paces, &c, &feeds, CostWeights::default(), threads,
             )
             .unwrap();
             assert_bit_identical(&reference, &par, &format!("{shape} threads={threads}"))?;
+            // Wavefront threads stacked on partitioned state: a plain
+            // source-fed parallel run would repeat `par` exactly.
             let mut source = Source::in_order(&feeds);
-            let vpar = execute_from_source_parallel_obs(
+            let spar = execute_from_source_parallel_obs(
                 &plan,
                 paces,
                 &c,
                 &mut source,
                 CostWeights::default(),
                 threads,
-                SourceOptions { mode: ExecMode::Vectorized, ..Default::default() },
+                SourceOptions {
+                    mode: ExecMode::Kernels,
+                    partitions: 2,
+                    partition_threads: 2,
+                    ..Default::default()
+                },
             )
             .unwrap()
             .into_result()
             .unwrap();
             assert_bit_identical(
                 &reference,
-                &vpar,
-                &format!("{shape} vectorized threads={threads}"),
+                &spar,
+                &format!("{shape} threads={threads} partitions=2"),
             )?;
         }
         for partitions in [2usize, 4] {
             let mut source = Source::in_order(&feeds);
-            let vpart = execute_from_source_obs(
+            let part = execute_from_source_obs(
                 &plan,
                 paces,
                 &c,
                 &mut source,
                 CostWeights::default(),
                 SourceOptions {
-                    mode: ExecMode::Vectorized,
+                    mode: ExecMode::Kernels,
                     partitions,
                     partition_threads: 2,
                     ..Default::default()
@@ -293,8 +295,8 @@ proptest! {
             .unwrap();
             assert_bit_identical(
                 &reference,
-                &vpart,
-                &format!("{shape} vectorized partitions={partitions}"),
+                &part,
+                &format!("{shape} partitions={partitions}"),
             )?;
         }
     }
@@ -351,15 +353,6 @@ fn tpch_workload_kernels_match_reference() {
         assert_eq!(a.executions, b.executions, "{label}: executions differ");
     };
     check(&reference, &kernels, "sequential");
-    let vectorized = execute_planned_deltas_vectorized(
-        &planned.plan,
-        planned.paces.as_slice(),
-        &tpch.catalog,
-        &feeds,
-        CostWeights::default(),
-    )
-    .unwrap();
-    check(&reference, &vectorized, "vectorized");
     for threads in [2usize, 4] {
         let par = execute_planned_deltas_parallel(
             &planned.plan,
@@ -413,14 +406,14 @@ fn reference_remains_oracle_at_every_partition_count() {
             execute_planned_deltas_partitioned(&plan, &paces, &c, &feeds, w, partitions).unwrap();
         bit_eq(&reference, &part, &format!("kernels P={partitions}"));
         let mut source = Source::in_order(&feeds);
-        let vpart = execute_from_source_obs(
+        let tpart = execute_from_source_obs(
             &plan,
             &paces,
             &c,
             &mut source,
             w,
             SourceOptions {
-                mode: ExecMode::Vectorized,
+                mode: ExecMode::Kernels,
                 partitions,
                 partition_threads: 2,
                 ..Default::default()
@@ -429,7 +422,7 @@ fn reference_remains_oracle_at_every_partition_count() {
         .unwrap()
         .into_result()
         .unwrap();
-        bit_eq(&reference, &vpart, &format!("vectorized P={partitions}"));
+        bit_eq(&reference, &tpart, &format!("kernels P={partitions} on 2 partition threads"));
     }
     // Reference mode with partitions requested: the option is ignored, the
     // oracle keeps its bits.
@@ -550,32 +543,32 @@ fn kernels_match_reference_under_jittered_source_kill_resume() {
     };
     bit_eq(&reference, &ref_src, "source-fed reference");
 
-    // So does the vectorized datapath, including kill-after-wavefront +
-    // replay against the commit log.
+    // Kill-after-wavefront + replay against the commit log through the
+    // sequential driver lands on the same bits as the parallel one.
     let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Suspended { log: vpartial } = execute_from_source_obs(
+    let SourceOutcome::Suspended { log: spartial } = execute_from_source_obs(
         &plan,
         &paces,
         &c,
         &mut source,
         CostWeights::default(),
-        SourceOptions { mode: ExecMode::Vectorized, stop_after: Some(2), ..Default::default() },
+        SourceOptions { stop_after: Some(2), ..Default::default() },
     )
     .unwrap() else {
-        panic!("vectorized stop_after must suspend");
+        panic!("sequential stop_after must suspend");
     };
     let mut source = Source::new(&feeds, cfg).unwrap();
-    let SourceOutcome::Completed { result: vec_resumed, log: vec_log } = execute_from_source_obs(
+    let SourceOutcome::Completed { result: seq_resumed, log: seq_log } = execute_from_source_obs(
         &plan,
         &paces,
         &c,
         &mut source,
         CostWeights::default(),
-        SourceOptions { mode: ExecMode::Vectorized, verify: Some(vpartial), ..Default::default() },
+        SourceOptions { verify: Some(spartial), ..Default::default() },
     )
     .unwrap() else {
-        panic!("vectorized resume must complete");
+        panic!("sequential resume must complete");
     };
-    bit_eq(&reference, &vec_resumed, "resumed vectorized");
-    assert_eq!(vec_log.entries, log.entries, "vectorized commit log agrees");
+    bit_eq(&reference, &seq_resumed, "resumed sequential kernels");
+    assert_eq!(seq_log.entries, log.entries, "sequential commit log agrees");
 }
