@@ -1,6 +1,11 @@
 //! Criterion benchmarks of the optimizer's hot paths: memoized vs
-//! from-scratch cost estimation (Fig. 15's mechanism) and the clustering vs
-//! brute-force split search (Fig. 16's mechanism).
+//! from-scratch cost estimation (Fig. 15's mechanism), the greedy pace
+//! search on a toy plan and on all 22 TPC-H queries (whose deep shared
+//! plans give the cone-scoped candidate scoring real cones), and the
+//! clustering vs brute-force split search (Fig. 16's mechanism).
+//!
+//! Set `ISHARE_BENCH_QUICK=1` (CI smoke) to run the smallest size of each
+//! case with few samples — a compile-and-run gate, not a measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ishare_common::{CostWeights, QueryId, QuerySet, Result, SubplanId, TableId, Value};
@@ -16,6 +21,19 @@ use ishare_plan::{
 use ishare_storage::{Catalog, ColumnStats, Field, Schema, TableStats};
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+fn quick() -> bool {
+    std::env::var_os("ISHARE_BENCH_QUICK").is_some()
+}
+
+/// `full` normally; its first element alone in quick mode.
+fn sizes<T: Copy>(full: &[T]) -> Vec<T> {
+    if quick() {
+        full[..1].to_vec()
+    } else {
+        full.to_vec()
+    }
+}
 
 fn catalog() -> Catalog {
     use ishare_common::DataType;
@@ -85,8 +103,7 @@ fn bench_estimation(c: &mut Criterion) {
 fn bench_pace_search(c: &mut Criterion) {
     let cat = catalog();
     let mut g = c.benchmark_group("pace_search");
-    g.sample_size(10);
-    for &nq in &[3usize, 6] {
+    for nq in sizes(&[3usize, 6]) {
         let queries = workload(&cat, nq).unwrap();
         let dag = build_shared_dag(&queries, &cat, &MqoConfig::default()).unwrap();
         let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
@@ -103,6 +120,36 @@ fn bench_pace_search(c: &mut Criterion) {
             b.iter(|| {
                 let mut est = PlanEstimator::new(&plan, &cat, CostWeights::default()).unwrap();
                 find_pace_configuration(&mut est, &cons, 30).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The greedy search over the MQO plan of all 22 TPC-H queries at a tight
+/// uniform constraint, from a fresh estimator (cold memo) each iteration.
+fn bench_tpch22_greedy(c: &mut Criterion) {
+    use ishare_core::resolve_constraints;
+    use ishare_core::FinalWorkConstraint;
+    let data = ishare_tpch::generate(0.002, 7).unwrap();
+    let cat = &data.catalog;
+    let queries: Vec<(QueryId, LogicalPlan)> = ishare_tpch::all_queries(cat)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| (QueryId(i as u16), normalize(&q.plan)))
+        .collect();
+    let dag = build_shared_dag(&queries, cat, &MqoConfig::default()).unwrap();
+    let plan = SharedPlan::from_dag(&dag, |_| false).unwrap();
+    let rel: BTreeMap<QueryId, FinalWorkConstraint> =
+        queries.iter().map(|(q, _)| (*q, FinalWorkConstraint::Relative(0.2))).collect();
+    let cons = resolve_constraints(&queries, &rel, cat, CostWeights::default()).unwrap();
+    let mut g = c.benchmark_group("pace_search_tpch22");
+    for max_pace in sizes(&[10u32, 50]) {
+        g.bench_with_input(BenchmarkId::new("greedy_rel0.2", max_pace), &max_pace, |b, &mp| {
+            b.iter(|| {
+                let mut est = PlanEstimator::new(&plan, cat, CostWeights::default()).unwrap();
+                find_pace_configuration(&mut est, &cons, mp).unwrap()
             })
         });
     }
@@ -137,8 +184,7 @@ fn local_problem_subplan(n_queries: usize) -> Subplan {
 
 fn bench_split_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("split_search");
-    g.sample_size(10);
-    for &nq in &[3usize, 5, 7] {
+    for nq in sizes(&[3usize, 5, 7]) {
         let sp = local_problem_subplan(nq);
         let mut input = StreamEstimate::insert_only(
             20_000.0,
@@ -211,12 +257,11 @@ fn bench_decomposition_ablation(c: &mut Criterion) {
     .into_iter()
     .collect();
     let mut g = c.benchmark_group("decomposition_ablation");
-    g.sample_size(10);
-    for (label, approach, partial) in [
+    for (label, approach, partial) in sizes(&[
+        ("whole_plus_partial", Approach::IShare, true),
         ("no_unshare", Approach::IShareNoUnshare, false),
         ("whole_only", Approach::IShare, false),
-        ("whole_plus_partial", Approach::IShare, true),
-    ] {
+    ]) {
         g.bench_function(label, |b| {
             let opts = PlanningOptions { max_pace: 50, partial, ..Default::default() };
             b.iter(|| plan_workload(approach, &queries, &cons, &cat, &opts).unwrap())
@@ -225,10 +270,14 @@ fn bench_decomposition_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+fn config() -> Criterion {
+    Criterion::default().sample_size(if quick() { 5 } else { 10 })
+}
+
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_estimation, bench_pace_search, bench_split_search,
+    config = config();
+    targets = bench_estimation, bench_pace_search, bench_tpch22_greedy, bench_split_search,
         bench_decomposition_ablation
 }
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 
 use ishare_common::{CostWeights, Error, QueryId, QuerySet, Result};
 use ishare_cost::simulate::simulate_subplan;
-use ishare_cost::LeafInputs;
+use ishare_cost::{CompiledSubplan, LeafInputs};
 use std::collections::BTreeMap;
 
 /// Partition-evaluation memo shared across the clustering and brute-force
@@ -90,8 +90,11 @@ impl LocalProblem<'_> {
         // selected pace is found by galloping up from `start_pace` and
         // binary-refining, instead of the O(max_pace) linear scan — each
         // probe costs O(pace) simulation steps, so this matters.
-        let probe = |pace: u32| -> Result<(f64, f64)> {
-            let sim = simulate_subplan(&restricted, pace, self.inputs, &self.weights)?;
+        // One static pass serves every probed pace.
+        let mut compiled = CompiledSubplan::new(&restricted)?;
+        compiled.bind_inputs(self.inputs)?;
+        let mut probe = |pace: u32| -> Result<(f64, f64)> {
+            let sim = compiled.run(pace, &self.weights)?;
             debug_assert!(
                 sim.private_total.is_finite() && sim.private_final.is_finite(),
                 "non-finite simulated cost at pace {pace}"
@@ -161,14 +164,9 @@ impl LocalProblem<'_> {
                 if cand > self.max_pace {
                     break;
                 }
-                let sim = simulate_subplan(&restricted, cand, self.inputs, &self.weights)?;
-                if sim.private_final <= limit + 1e-9 && sim.private_total < best.wpt {
-                    best = PartitionEval {
-                        pace: cand,
-                        wpt: sim.private_total,
-                        wf: sim.private_final,
-                        feasible: true,
-                    };
+                let (wpt, wf) = probe(cand)?;
+                if wf <= limit + 1e-9 && wpt < best.wpt {
+                    best = PartitionEval { pace: cand, wpt, wf, feasible: true };
                 }
             }
             best

@@ -28,7 +28,7 @@ pub use regenerate::{initial_paces, regenerate, Regenerated};
 use crate::constraint::ConstraintMap;
 use crate::pace::PaceConfiguration;
 use crate::pace_search::{relax_pace_configuration, SearchOutcome};
-use ishare_common::{CostWeights, QueryId, Result, SubplanId};
+use ishare_common::{CostWeights, Error, QueryId, Result, SubplanId};
 use ishare_cost::{CostReport, PlanEstimator};
 use ishare_plan::SharedPlan;
 use ishare_storage::Catalog;
@@ -74,9 +74,12 @@ pub struct Adopted {
     pub outcome: SearchOutcome,
 }
 
-/// Try to decompose `target` inside `plan`, currently paced by
-/// `paces`/`report`. Returns the best profitable alternative, or `None`
-/// when keeping the shared subplan is better.
+/// Try to decompose `target` inside `plan`, currently paced by `paces`.
+/// `report` is that configuration's report from
+/// [`PlanEstimator::estimate_detailed`]: its leaf input estimates feed the
+/// local problems, so one report serves every target of a plan. Returns
+/// the best profitable alternative, or `None` when keeping the shared
+/// subplan is better.
 #[allow(clippy::too_many_arguments)]
 pub fn try_decompose_subplan(
     plan: &SharedPlan,
@@ -100,12 +103,10 @@ pub fn try_decompose_subplan(
         return Ok(None);
     }
 
-    // The pace searches run with lightweight reports; re-estimate once with
-    // the per-leaf input estimates the local problems need.
-    let detailed = {
-        let mut est = PlanEstimator::new(plan, catalog, weights)?;
-        est.estimate_detailed(paces.as_slice())?
-    };
+    let inputs = report.subplan_inputs.get(target.index()).filter(|m| !m.is_empty());
+    let inputs = inputs.ok_or_else(|| {
+        Error::InvalidConfig(format!("no leaf input estimates for {target}: not a detailed report"))
+    })?;
 
     let mut best: Option<Adopted> = None;
     let consider = |cand: Adopted, best: &mut Option<Adopted>| {
@@ -126,7 +127,7 @@ pub fn try_decompose_subplan(
         plan,
         paces,
         target,
-        &detailed.subplan_inputs[target.index()],
+        inputs,
         constraints,
         batch_finals,
         catalog,
@@ -298,11 +299,12 @@ mod tests {
         let (plan, cons, batch) = setup(&c, 1.0);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 50).unwrap();
+        let detailed = est.estimate_detailed(outcome.paces.as_slice()).unwrap();
         let target = shared_subplan(&plan);
         let adopted = try_decompose_subplan(
             &plan,
             &outcome.paces,
-            &outcome.report,
+            &detailed,
             target,
             &cons,
             &batch,
@@ -320,11 +322,12 @@ mod tests {
         let (plan, cons, batch) = setup(&c, 0.05);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 100).unwrap();
+        let detailed = est.estimate_detailed(outcome.paces.as_slice()).unwrap();
         let target = shared_subplan(&plan);
         let adopted = try_decompose_subplan(
             &plan,
             &outcome.paces,
-            &outcome.report,
+            &detailed,
             target,
             &cons,
             &batch,
@@ -359,12 +362,13 @@ mod tests {
         let (plan, cons, batch) = setup(&c, 0.1);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
         let outcome = find_pace_configuration(&mut est, &cons, 20).unwrap();
+        let detailed = est.estimate_detailed(outcome.paces.as_slice()).unwrap();
         let private = plan.subplans.iter().find(|sp| sp.queries.len() == 1).map(|sp| sp.id);
         if let Some(target) = private {
             let adopted = try_decompose_subplan(
                 &plan,
                 &outcome.paces,
-                &outcome.report,
+                &detailed,
                 target,
                 &cons,
                 &batch,

@@ -13,14 +13,43 @@
 //! ```
 
 use crate::constraint::ConstraintMap;
-use ishare_cost::CostReport;
+use ishare_common::{QueryId, WorkUnits};
+use ishare_cost::{CostReport, Evaluation};
+
+/// What incrementability compares: a configuration's total work and each
+/// query's final work. The searches score candidates as [`Evaluation`]s;
+/// settled configurations are [`CostReport`]s.
+pub trait Costed {
+    /// Total work C_T(P).
+    fn total(&self) -> WorkUnits;
+    /// Final work C_F(P, q).
+    fn final_of_query(&self, q: QueryId) -> WorkUnits;
+}
+
+impl Costed for CostReport {
+    fn total(&self) -> WorkUnits {
+        self.total_work
+    }
+    fn final_of_query(&self, q: QueryId) -> WorkUnits {
+        self.final_of(q)
+    }
+}
+
+impl Costed for Evaluation {
+    fn total(&self) -> WorkUnits {
+        self.total_work()
+    }
+    fn final_of_query(&self, q: QueryId) -> WorkUnits {
+        self.final_of(q)
+    }
+}
 
 /// Eq. 1: the benefit of the eagerer configuration `new` over `old`.
-pub fn benefit(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) -> f64 {
+pub fn benefit<C: Costed>(new: &C, old: &C, constraints: &ConstraintMap) -> f64 {
     let mut total = 0.0;
     for (q, l) in constraints {
-        let old_f = old.final_of(*q).get();
-        let new_f = new.final_of(*q).get().max(*l);
+        let old_f = old.final_of_query(*q).get();
+        let new_f = new.final_of_query(*q).get().max(*l);
         total += (old_f - new_f).max(0.0);
     }
     total
@@ -31,9 +60,9 @@ pub fn benefit(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) 
 /// Degenerate denominators are mapped to the useful extremes: extra benefit
 /// at no extra cost is infinitely incrementable; no benefit at no cost is
 /// zero.
-pub fn incrementability(new: &CostReport, old: &CostReport, constraints: &ConstraintMap) -> f64 {
+pub fn incrementability<C: Costed>(new: &C, old: &C, constraints: &ConstraintMap) -> f64 {
     let b = benefit(new, old, constraints);
-    let d = new.total_work.get() - old.total_work.get();
+    let d = new.total().get() - old.total().get();
     if d <= f64::EPSILON {
         if b > 0.0 {
             f64::INFINITY
@@ -57,7 +86,6 @@ mod tests {
             subplan_total: vec![],
             subplan_final: vec![],
             subplan_inputs: vec![],
-            subplan_output: vec![],
         }
     }
 

@@ -15,10 +15,10 @@
 //!   regressing any query's missed work.
 
 use crate::constraint::ConstraintMap;
-use crate::incrementability::{benefit, incrementability};
+use crate::incrementability::{incrementability, Costed};
 use crate::pace::PaceConfiguration;
-use ishare_common::{Error, Result, SubplanId};
-use ishare_cost::{CostReport, PlanEstimator};
+use ishare_common::{Error, QuerySet, Result, SubplanId};
+use ishare_cost::{CostReport, Evaluation, PlanEstimator};
 use std::cmp::Ordering;
 
 /// Result of a pace search.
@@ -34,8 +34,8 @@ pub struct SearchOutcome {
     pub steps: usize,
 }
 
-fn is_feasible(report: &CostReport, constraints: &ConstraintMap) -> bool {
-    constraints.iter().all(|(q, l)| report.final_of(*q).get() <= *l + 1e-9)
+fn is_feasible(e: &impl Costed, constraints: &ConstraintMap) -> bool {
+    constraints.iter().all(|(q, l)| e.final_of_query(*q).get() <= *l + 1e-9)
 }
 
 /// Reject NaN constraints up front: every comparison downstream treats
@@ -152,13 +152,47 @@ fn grouped_search(
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
-    let plan = est.plan().clone();
-    let paces = PaceConfiguration::batch(plan.len());
-    search_upward(est, &plan, groups, constraints, max_pace, paces)
+    let batch = est.evaluate(PaceConfiguration::batch(est.plan().len()).as_slice())?;
+    let (cur, steps) = search_upward(est, groups, constraints, max_pace, batch)?;
+    outcome(est, &cur, constraints, steps)
+}
+
+fn outcome(
+    est: &PlanEstimator,
+    cur: &Evaluation,
+    constraints: &ConstraintMap,
+    steps: usize,
+) -> Result<SearchOutcome> {
+    Ok(SearchOutcome {
+        paces: PaceConfiguration::new(cur.paces().to_vec())?,
+        report: est.report(cur),
+        feasible: is_feasible(cur, constraints),
+        steps,
+    })
+}
+
+/// Whether `cand`, which differs from the current configuration only in the
+/// `moved` subplans, keeps every parent's pace ≤ its children's. When the
+/// current configuration keeps it (`cur_ok`), only pairs with a moved
+/// subplan can break; otherwise the whole configuration is checked.
+fn keeps_order(
+    est: &PlanEstimator,
+    cand: &PaceConfiguration,
+    moved: &[SubplanId],
+    cur_ok: bool,
+) -> bool {
+    if !cur_ok {
+        return cand.respects_plan(est.plan()).is_ok();
+    }
+    moved.iter().all(|&id| {
+        est.children(id).iter().all(|&c| cand.pace(id) <= cand.pace(c))
+            && est.parents(id).iter().all(|&p| cand.pace(p) <= cand.pace(id))
+    })
 }
 
 /// The paper's greedy loop: raise the pace of the group with the highest
 /// incrementability until every constraint is met or all paces are maxed.
+/// Returns the final evaluation and the steps taken.
 ///
 /// Zero-benefit steps are taken too — they cross plateaus where a parent's
 /// pace is blocked by its child's (raising the child alone buys nothing,
@@ -167,32 +201,32 @@ fn grouped_search(
 /// restricted to groups serving at least one unmet query.
 fn search_upward(
     est: &mut PlanEstimator,
-    plan: &ishare_plan::SharedPlan,
     groups: &[Vec<SubplanId>],
     constraints: &ConstraintMap,
     max_pace: u32,
-    mut paces: PaceConfiguration,
-) -> Result<SearchOutcome> {
-    let mut report = est.estimate(paces.as_slice())?;
+    mut cur: Evaluation,
+) -> Result<(Evaluation, usize)> {
+    let mut paces = PaceConfiguration::new(cur.paces().to_vec())?;
+    let mut cur_ok = paces.respects_plan(est.plan()).is_ok();
     let mut steps = 0;
 
     loop {
-        if is_feasible(&report, constraints) || paces.maxed(max_pace) {
+        if is_feasible(&cur, constraints) || paces.maxed(max_pace) {
             break;
         }
-        let unmet: ishare_common::QuerySet = constraints
+        let unmet: QuerySet = constraints
             .iter()
-            .filter(|(q, l)| report.final_of(**q).get() > **l + 1e-9)
+            .filter(|(q, l)| cur.final_of(**q).get() > **l + 1e-9)
             .map(|(q, _)| *q)
             .collect();
         // Evaluate one candidate per group: bump every member by one.
-        let mut best: Option<(f64, f64, PaceConfiguration, CostReport)> = None;
+        let mut best: Option<(f64, f64, PaceConfiguration, Evaluation)> = None;
         for g in groups {
             if g.iter().any(|id| paces.pace(*id) >= max_pace) {
                 continue;
             }
             let serves_unmet =
-                g.iter().any(|id| plan.subplans[id.index()].queries.intersects(unmet));
+                g.iter().any(|id| est.plan().subplans[id.index()].queries.intersects(unmet));
             if !serves_unmet {
                 continue;
             }
@@ -200,32 +234,32 @@ fn search_upward(
             for &id in g {
                 cand.set(id, cand.pace(id) + 1);
             }
-            if cand.respects_plan(plan).is_err() {
+            if !keeps_order(est, &cand, g, cur_ok) {
                 continue;
             }
-            let cand_report = est.estimate(cand.as_slice())?;
+            let cand_eval = est.evaluate_from(&cur, cand.as_slice())?;
             debug_assert!(
-                cand_report.total_work.get().is_finite(),
+                cand_eval.total_work().get().is_finite(),
                 "non-finite estimated total work for {cand}"
             );
-            let inc = incrementability(&cand_report, &report, constraints);
-            let extra = cand_report.total_work.get() - report.total_work.get();
+            let inc = incrementability(&cand_eval, &cur, constraints);
+            let extra = cand_eval.total_work().get() - cur.total_work().get();
             if upward_better((inc, extra), best.as_ref().map(|(bi, be, _, _)| (*bi, *be))) {
-                best = Some((inc, extra, cand, cand_report));
+                best = Some((inc, extra, cand, cand_eval));
             }
         }
         match best {
-            Some((_, _, cand, cand_report)) => {
+            Some((_, _, cand, cand_eval)) => {
                 paces = cand;
-                report = cand_report;
+                cur = cand_eval;
+                cur_ok = true;
                 steps += 1;
             }
             // Every group is maxed or blocked: nothing left to try.
             None => break,
         }
     }
-    let feasible = is_feasible(&report, constraints);
-    Ok(SearchOutcome { paces, report, feasible, steps })
+    Ok((cur, steps))
 }
 
 /// The decomposition follow-up: lazy-ward relaxation from an eager initial
@@ -240,39 +274,39 @@ pub fn relax_pace_configuration(
     max_pace: u32,
 ) -> Result<SearchOutcome> {
     check_constraints(constraints)?;
-    let plan = est.plan().clone();
-    let mut paces = init;
-    let mut report = est.estimate(paces.as_slice())?;
+    let mut cur = est.evaluate(init.as_slice())?;
     let mut steps = 0;
 
     // If the initial configuration misses constraints, try to repair by
     // increasing first (the regenerated plan's costs differ slightly from
     // the donor configuration's).
-    if !is_feasible(&report, constraints) {
-        let repaired =
-            grouped_search_from(est, constraints, max_pace, paces.clone(), report.clone())?;
-        paces = repaired.paces;
-        report = repaired.report;
-        steps += repaired.steps;
+    if !is_feasible(&cur, constraints) {
+        let singles: Vec<Vec<SubplanId>> =
+            (0..init.len()).map(|i| vec![SubplanId(i as u32)]).collect();
+        let (repaired, repair_steps) = search_upward(est, &singles, constraints, max_pace, cur)?;
+        cur = repaired;
+        steps += repair_steps;
     }
+    let mut paces = PaceConfiguration::new(cur.paces().to_vec())?;
+    let mut cur_ok = paces.respects_plan(est.plan()).is_ok();
 
     let missed_budget: Vec<(ishare_common::QueryId, f64)> =
-        constraints.iter().map(|(q, l)| (*q, (report.final_of(*q).get() - l).max(0.0))).collect();
+        constraints.iter().map(|(q, l)| (*q, (cur.final_of(*q).get() - l).max(0.0))).collect();
 
     loop {
-        let mut best: Option<(f64, f64, PaceConfiguration, CostReport)> = None;
-        for i in 0..plan.len() {
+        let mut best: Option<(f64, f64, PaceConfiguration, Evaluation)> = None;
+        for i in 0..paces.len() {
             let id = SubplanId(i as u32);
             let p = paces.pace(id);
             if p <= 1 {
                 continue;
             }
             let cand = paces.with_pace(id, p - 1);
-            if cand.respects_plan(&plan).is_err() {
+            if !keeps_order(est, &cand, &[id], cur_ok) {
                 continue;
             }
-            let cand_report = est.estimate(cand.as_slice())?;
-            let saved = report.total_work.get() - cand_report.total_work.get();
+            let cand_eval = est.evaluate_from(&cur, cand.as_slice())?;
+            let saved = cur.total_work().get() - cand_eval.total_work().get();
             // Zero-saving decreases are admissible too: a stateless parent's
             // total work is pace-independent, but lowering its pace unblocks
             // decreases of its children (parent pace ≤ child pace).
@@ -281,7 +315,7 @@ pub fn relax_pace_configuration(
             }
             let admissible = missed_budget.iter().all(|(q, budget)| {
                 let l = constraints.get(q).copied().unwrap_or(f64::INFINITY);
-                let missed = (cand_report.final_of(*q).get() - l).max(0.0);
+                let missed = (cand_eval.final_of(*q).get() - l).max(0.0);
                 missed <= budget + 1e-9
             });
             if !admissible {
@@ -289,41 +323,23 @@ pub fn relax_pace_configuration(
             }
             // Lowest incrementability of the eager side = best candidate to
             // relax: it pays the most total work for the least benefit.
-            let inc = incrementability(&report, &cand_report, constraints);
+            let inc = incrementability(&cur, &cand_eval, constraints);
             if relax_better((inc, saved), best.as_ref().map(|(bi, bs, _, _)| (*bi, *bs))) {
-                best = Some((inc, saved, cand, cand_report));
+                best = Some((inc, saved, cand, cand_eval));
             }
         }
         match best {
-            Some((_, _, cand, cand_report)) => {
+            Some((_, _, cand, cand_eval)) => {
                 paces = cand;
-                report = cand_report;
+                cur = cand_eval;
+                cur_ok = true;
                 steps += 1;
             }
             None => break,
         }
     }
-    let feasible = is_feasible(&report, constraints);
-    Ok(SearchOutcome { paces, report, feasible, steps })
+    outcome(est, &cur, constraints, steps)
 }
-
-/// Increase-greedy starting from an arbitrary configuration (used to repair
-/// infeasible initial configurations before relaxing).
-fn grouped_search_from(
-    est: &mut PlanEstimator,
-    constraints: &ConstraintMap,
-    max_pace: u32,
-    paces: PaceConfiguration,
-    _report: CostReport,
-) -> Result<SearchOutcome> {
-    let plan = est.plan().clone();
-    let groups: Vec<Vec<SubplanId>> = (0..plan.len()).map(|i| vec![SubplanId(i as u32)]).collect();
-    search_upward(est, &plan, &groups, constraints, max_pace, paces)
-}
-
-// `benefit` is re-exported at the crate root; keep the import used.
-#[allow(unused_imports)]
-use benefit as _benefit;
 
 #[cfg(test)]
 mod tests {

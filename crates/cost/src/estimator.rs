@@ -7,13 +7,25 @@
 //! depend on. The greedy pace search evaluates many configurations that
 //! differ in a single subplan's pace; with the memo only that subplan and
 //! its ancestors are re-simulated.
+//!
+//! The searches go one step further with [`PlanEstimator::evaluate_from`]:
+//! a candidate is scored against the [`Evaluation`] of the current
+//! configuration, and only its *cone* — the subplans whose pace changed and
+//! their ancestors — is looked up in the memo at all; every other subplan
+//! reuses the current configuration's simulation. Totals are re-summed from
+//! scratch in the same order as a full evaluation, so a cone-scoped score is
+//! bit-identical to a full one.
 
-use crate::simulate::{simulate_subplan, SubplanSim};
+use crate::simulate::{CompiledSubplan, SubplanSim};
 use crate::stats::StreamEstimate;
-use ishare_common::{CostWeights, Error, QueryId, Result, SubplanId, TableId, WorkUnits};
+use ishare_common::{
+    CostWeights, Error, FxHashMap, QueryId, Result, SubplanId, TableId, WorkUnits,
+};
 use ishare_plan::{InputSource, SharedPlan};
 use ishare_storage::Catalog;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Leaf input estimates per subplan, keyed by leaf path. A `BTreeMap` so
 /// every iteration over the inputs (decomposition, debugging output) is
@@ -34,16 +46,49 @@ pub struct CostReport {
     /// Private final work per subplan.
     pub subplan_final: Vec<f64>,
     /// Full-trigger input estimate per subplan leaf (the Fig. 7 input
-    /// cardinalities the decomposition algorithm consumes).
+    /// cardinalities the decomposition algorithm consumes). Empty maps
+    /// unless the report came from [`PlanEstimator::estimate_detailed`].
     pub subplan_inputs: Vec<LeafInputs>,
-    /// Full-trigger output estimate per subplan.
-    pub subplan_output: Vec<StreamEstimate>,
 }
 
 impl CostReport {
     /// Final work of one query.
     pub fn final_of(&self, q: QueryId) -> WorkUnits {
         self.final_work.get(&q).copied().unwrap_or(WorkUnits::ZERO)
+    }
+}
+
+/// One pace configuration evaluated subplan by subplan: its simulations,
+/// total work and per-query final work. The pace searches keep the
+/// evaluation of their current configuration and score candidates against
+/// it with [`PlanEstimator::evaluate_from`]; a [`CostReport`] is built only
+/// for the configuration a search settles on ([`PlanEstimator::report`]).
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// The estimator state the simulations belong to (see
+    /// [`PlanEstimator::evaluate_from`]).
+    epoch: u64,
+    paces: Vec<u32>,
+    sims: Vec<Arc<SubplanSim>>,
+    total_work: WorkUnits,
+    /// Final work per query, indexed by query id.
+    final_work: Vec<WorkUnits>,
+}
+
+impl Evaluation {
+    /// The evaluated paces, one per subplan.
+    pub fn paces(&self) -> &[u32] {
+        &self.paces
+    }
+
+    /// Total work C_T(P).
+    pub fn total_work(&self) -> WorkUnits {
+        self.total_work
+    }
+
+    /// Final work C_F(P, q) of one query.
+    pub fn final_of(&self, q: QueryId) -> WorkUnits {
+        self.final_work.get(q.index()).copied().unwrap_or(WorkUnits::ZERO)
     }
 }
 
@@ -69,6 +114,15 @@ pub struct EstimatorCounters {
     pub memo_hits: usize,
 }
 
+/// Source of [`Evaluation`] epochs: unique per estimator and per base-stats
+/// refresh, so an evaluation is only ever extended by the estimator state
+/// that produced it.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+fn next_epoch() -> u64 {
+    NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Memoized whole-plan cost estimator, bound to one [`SharedPlan`].
 pub struct PlanEstimator {
     plan: SharedPlan,
@@ -78,20 +132,30 @@ pub struct PlanEstimator {
     /// Per subplan: sorted list of (that subplan + descendants) — the key
     /// domain of its private pace configuration.
     descendants: Vec<Vec<SubplanId>>,
-    /// Per subplan: its leaves (path, source).
-    leaves: Vec<Vec<(Vec<usize>, InputSource)>>,
+    /// Per subplan: the subplans it reads, and the subplans reading it.
+    children: Vec<Vec<SubplanId>>,
+    parents: Vec<Vec<SubplanId>>,
+    /// Per query id: the subplans serving it, ascending — the order its
+    /// final work is summed in.
+    query_subplans: Vec<Vec<usize>>,
+    /// Per subplan: its compiled simulator.
+    compiled: Vec<CompiledSubplan>,
     /// Base-table full-trigger stream estimates (`BTreeMap` so refresh and
     /// drift scans iterate in a deterministic order).
     base: BTreeMap<TableId, StreamEstimate>,
     /// Per subplan: memo from private pace configuration to simulation
     /// (Arc so hits are O(1), not a deep clone of the stream estimate).
-    memo: Vec<HashMap<Vec<u32>, std::sync::Arc<SubplanSim>>>,
+    memo: Vec<FxHashMap<Vec<u32>, Arc<SubplanSim>>>,
     /// Hit/miss counters.
     pub counters: EstimatorCounters,
     /// When `false`, [`PlanEstimator::estimate`] behaves like
     /// [`PlanEstimator::estimate_unmemoized`] — used to run whole searches
     /// without memoization (the Fig. 15 `w/o memo` variant).
     memo_enabled: bool,
+    /// Changes on every base-stats refresh; see [`Evaluation`].
+    epoch: u64,
+    /// Reused memo-key buffer.
+    key: Vec<u32>,
 }
 
 impl PlanEstimator {
@@ -99,20 +163,16 @@ impl PlanEstimator {
     pub fn new(plan: &SharedPlan, catalog: &Catalog, weights: CostWeights) -> Result<Self> {
         let topo = plan.topo_order()?;
         let n = plan.subplans.len();
-
-        // Leaves per subplan.
-        let mut leaves = Vec::with_capacity(n);
-        for sp in &plan.subplans {
-            let mut out = Vec::new();
-            collect_leaves(&sp.root, &mut Vec::new(), &mut out);
-            leaves.push(out);
-        }
+        let compiled =
+            plan.subplans.iter().map(CompiledSubplan::new).collect::<Result<Vec<_>>>()?;
+        let children: Vec<Vec<SubplanId>> = plan.subplans.iter().map(|sp| sp.children()).collect();
+        let parents = plan.parents();
 
         // Descendant closure (children-first order makes one pass enough).
         let mut descendants: Vec<Vec<SubplanId>> = vec![Vec::new(); n];
         for &id in &topo {
             let mut set: Vec<SubplanId> = vec![id];
-            for c in plan.subplans[id.index()].children() {
+            for c in &children[id.index()] {
                 for &d in &descendants[c.index()] {
                     if !set.contains(&d) {
                         set.push(d);
@@ -123,9 +183,17 @@ impl PlanEstimator {
             descendants[id.index()] = set;
         }
 
+        let queries = plan.queries();
+        let mut query_subplans =
+            vec![Vec::new(); queries.iter().last().map_or(0, |q| q.index() + 1)];
+        for (i, sp) in plan.subplans.iter().enumerate() {
+            for q in sp.queries.iter() {
+                query_subplans[q.index()].push(i);
+            }
+        }
+
         // Base streams: every row of a base table is valid for every query
         // of the whole plan (leaf narrowing restricts per subplan).
-        let queries = plan.queries();
         let mut base = BTreeMap::new();
         for sp in &plan.subplans {
             for t in sp.root.referenced_tables() {
@@ -145,11 +213,16 @@ impl PlanEstimator {
             weights,
             topo,
             descendants,
-            leaves,
+            children,
+            parents,
+            query_subplans,
+            compiled,
             base,
-            memo: vec![HashMap::new(); n],
+            memo: vec![FxHashMap::default(); n],
             counters: EstimatorCounters::default(),
             memo_enabled: true,
+            epoch: next_epoch(),
+            key: Vec::new(),
         })
     }
 
@@ -162,6 +235,16 @@ impl PlanEstimator {
     /// The plan this estimator is bound to.
     pub fn plan(&self) -> &SharedPlan {
         &self.plan
+    }
+
+    /// The subplans `id` reads (deduplicated).
+    pub fn children(&self, id: SubplanId) -> &[SubplanId] {
+        &self.children[id.index()]
+    }
+
+    /// The subplans reading `id`.
+    pub fn parents(&self, id: SubplanId) -> &[SubplanId] {
+        &self.parents[id.index()]
     }
 
     /// The current base-stream estimate for `t`, if the plan references it.
@@ -181,9 +264,13 @@ impl PlanEstimator {
     /// statistics are kept. Exactly the memo entries of subplans whose input
     /// cone references `t` are invalidated, so re-optimizations after a
     /// refresh still reuse every simulation the change cannot affect.
+    /// Evaluations made before a refresh are not extended by
+    /// [`PlanEstimator::evaluate_from`] after it.
     ///
     /// Returns `true` iff the estimate actually changed (and memos were
     /// dropped).
+    ///
+    /// [`CardVec::scaled`]: crate::stats::CardVec::scaled
     pub fn refresh_base(&mut self, t: TableId, observed: ObservedBase) -> Result<bool> {
         if !observed.rows.is_finite() || observed.rows < 0.0 || !observed.delete_frac.is_finite() {
             return Err(Error::InvalidConfig(format!(
@@ -213,6 +300,7 @@ impl PlanEstimator {
             crate::stats::CardVec::uniform(observed.rows, queries)
         };
         est.delete_frac = new_delete_frac;
+        self.epoch = next_epoch();
         // Cone-scoped invalidation: subplan `i` depends on `t` iff `t` is
         // referenced by `i` or any of its descendants.
         for i in 0..self.plan.subplans.len() {
@@ -227,34 +315,82 @@ impl PlanEstimator {
     }
 
     /// Estimate a pace configuration (one pace per subplan, positionally).
-    /// The report's `subplan_inputs` are left empty — the pace searches call
-    /// this tens of thousands of times and only the decomposition pass needs
-    /// the per-leaf stream estimates; use
+    /// The report's `subplan_inputs` are left empty; use
     /// [`PlanEstimator::estimate_detailed`] for those.
     pub fn estimate(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, self.memo_enabled, false)
+        let e = self.evaluate(paces)?;
+        Ok(self.report(&e))
     }
 
     /// Like [`PlanEstimator::estimate`] but also collects each subplan's
     /// full-trigger leaf input estimates (the Fig. 7 cardinalities the
     /// decomposition algorithm consumes).
     pub fn estimate_detailed(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, self.memo_enabled, true)
+        let e = self.evaluate(paces)?;
+        let mut report = self.report(&e);
+        for (inputs, compiled) in report.subplan_inputs.iter_mut().zip(&self.compiled) {
+            for (path, src) in compiled.leaves() {
+                let est = match src {
+                    InputSource::Base(t) => self.base_stream(*t)?,
+                    InputSource::Subplan(child) => &e.sims[child.index()].output,
+                };
+                inputs.insert(path.clone(), est.clone());
+            }
+        }
+        Ok(report)
     }
 
     /// Estimate without the memo — recomputing every subplan from scratch,
     /// like the original simulation algorithm the paper compares against in
     /// Fig. 15 (`iShare (w/o memo)`).
     pub fn estimate_unmemoized(&mut self, paces: &[u32]) -> Result<CostReport> {
-        self.estimate_inner(paces, false, false)
+        let e = self.evaluate_inner(paces, false, None)?;
+        Ok(self.report(&e))
     }
 
-    fn estimate_inner(
+    /// Evaluate a pace configuration, every subplan through the memo (or
+    /// simulated afresh when memoization is disabled).
+    pub fn evaluate(&mut self, paces: &[u32]) -> Result<Evaluation> {
+        self.evaluate_inner(paces, self.memo_enabled, None)
+    }
+
+    /// Evaluate `paces`, a configuration close to the already evaluated
+    /// `from`: only the *cone* of the subplans whose pace differs — they and
+    /// their ancestors — is looked up in the memo (and simulated on a miss);
+    /// every other subplan keeps `from`'s simulation. The result is
+    /// bit-identical to [`PlanEstimator::evaluate`]. With memoization
+    /// disabled, or when `from` predates a base-stats refresh or belongs to
+    /// another estimator, every subplan is evaluated.
+    pub fn evaluate_from(&mut self, from: &Evaluation, paces: &[u32]) -> Result<Evaluation> {
+        let reusable = from.epoch == self.epoch && from.paces.len() == paces.len();
+        self.evaluate_inner(paces, self.memo_enabled, reusable.then_some(from))
+    }
+
+    /// The full report of an evaluation.
+    pub fn report(&self, e: &Evaluation) -> CostReport {
+        let served = self.query_subplans.iter().enumerate().filter(|(_, sps)| !sps.is_empty());
+        CostReport {
+            total_work: e.total_work,
+            final_work: served.map(|(q, _)| (QueryId(q as u16), e.final_work[q])).collect(),
+            subplan_total: e.sims.iter().map(|s| s.private_total).collect(),
+            subplan_final: e.sims.iter().map(|s| s.private_final).collect(),
+            subplan_inputs: vec![LeafInputs::new(); e.sims.len()],
+        }
+    }
+
+    fn base_stream(&self, t: TableId) -> Result<&StreamEstimate> {
+        self.base.get(&t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
+    }
+
+    /// Evaluate children-first. With `from` (and the memo on), a subplan
+    /// whose pace is `from`'s and none of whose children is in the cone
+    /// keeps `from`'s simulation.
+    fn evaluate_inner(
         &mut self,
         paces: &[u32],
         use_memo: bool,
-        collect_inputs: bool,
-    ) -> Result<CostReport> {
+        from: Option<&Evaluation>,
+    ) -> Result<Evaluation> {
         let n = self.plan.subplans.len();
         if paces.len() != n {
             return Err(Error::InvalidConfig(format!("{} paces for {n} subplans", paces.len())));
@@ -262,98 +398,81 @@ impl PlanEstimator {
         if let Some(&bad) = paces.iter().find(|&&p| p == 0) {
             return Err(Error::InvalidConfig(format!("pace {bad} must be >= 1")));
         }
-        let mut outputs: Vec<Option<StreamEstimate>> = vec![None; n];
-        let mut report = CostReport {
-            total_work: WorkUnits::ZERO,
-            final_work: BTreeMap::new(),
-            subplan_total: vec![0.0; n],
-            subplan_final: vec![0.0; n],
-            subplan_inputs: vec![LeafInputs::new(); n],
-            subplan_output: Vec::new(),
-        };
-        for &id in &self.topo.clone() {
-            let i = id.index();
-            // Assemble this subplan's leaf inputs from children's outputs.
-            let mut inputs = LeafInputs::new();
-            for (path, src) in &self.leaves[i] {
-                let est = match src {
-                    InputSource::Base(t) => self
-                        .base
-                        .get(t)
-                        .ok_or_else(|| Error::NotFound(format!("base stream {t}")))?
-                        .clone(),
-                    InputSource::Subplan(c) => outputs[c.index()].clone().ok_or_else(|| {
-                        Error::InvalidPlan(format!("child {c} output missing for {id}"))
-                    })?,
-                };
-                inputs.insert(path.clone(), est);
+        let from = from.filter(|_| use_memo);
+        let mut in_cone = vec![true; n];
+        let mut sims: Vec<Option<Arc<SubplanSim>>> = vec![None; n];
+        for t in 0..self.topo.len() {
+            let i = self.topo[t].index();
+            if let Some(from) = from {
+                in_cone[i] = from.paces[i] != paces[i]
+                    || self.children[i].iter().any(|c| in_cone[c.index()]);
+                if !in_cone[i] {
+                    sims[i] = Some(from.sims[i].clone());
+                    continue;
+                }
             }
-            let key: Vec<u32> = self.descendants[i].iter().map(|d| paces[d.index()]).collect();
-            let sim: std::sync::Arc<SubplanSim> = if use_memo {
-                if let Some(hit) = self.memo[i].get(&key) {
+            let hit = if use_memo {
+                self.key.clear();
+                self.key.extend(self.descendants[i].iter().map(|d| paces[d.index()]));
+                self.memo[i].get(self.key.as_slice()).cloned()
+            } else {
+                None
+            };
+            let sim = match hit {
+                Some(hit) => {
                     self.counters.memo_hits += 1;
-                    hit.clone()
-                } else {
+                    hit
+                }
+                None => {
                     self.counters.simulations += 1;
-                    let sim = std::sync::Arc::new(simulate_subplan(
-                        &self.plan.subplans[i],
-                        paces[i],
-                        &inputs,
-                        &self.weights,
-                    )?);
-                    self.memo[i].insert(key, sim.clone());
+                    let id = SubplanId(i as u32);
+                    let (base, compiled) = (&self.base, &mut self.compiled[i]);
+                    compiled.bind(|_, src| match src {
+                        InputSource::Base(t) => {
+                            base.get(&t).ok_or_else(|| Error::NotFound(format!("base stream {t}")))
+                        }
+                        InputSource::Subplan(c) => sims
+                            .get(c.index())
+                            .and_then(|s| s.as_deref())
+                            .map(|s| &s.output)
+                            .ok_or_else(|| {
+                                Error::InvalidPlan(format!("child {c} output missing for {id}"))
+                            }),
+                    })?;
+                    let sim = Arc::new(compiled.run(paces[i], &self.weights)?);
+                    if use_memo {
+                        self.memo[i].insert(self.key.clone(), sim.clone());
+                    }
                     sim
                 }
-            } else {
-                self.counters.simulations += 1;
-                std::sync::Arc::new(simulate_subplan(
-                    &self.plan.subplans[i],
-                    paces[i],
-                    &inputs,
-                    &self.weights,
-                )?)
             };
-            report.total_work += WorkUnits(sim.private_total);
-            report.subplan_total[i] = sim.private_total;
-            report.subplan_final[i] = sim.private_final;
-            if collect_inputs {
-                report.subplan_inputs[i] = inputs;
-            }
-            outputs[i] = Some(sim.output.clone());
+            sims[i] = Some(sim);
         }
-        for sp in &self.plan.subplans {
-            for q in sp.queries.iter() {
-                *report.final_work.entry(q).or_insert(WorkUnits::ZERO) +=
-                    WorkUnits(report.subplan_final[sp.id.index()]);
-            }
-        }
-        report.subplan_output = outputs
+        let sims = sims
             .into_iter()
             .enumerate()
-            .map(|(i, o)| {
-                o.ok_or_else(|| {
+            .map(|(i, s)| {
+                s.ok_or_else(|| {
                     Error::InvalidPlan(format!(
                         "subplan {i} missing from topological order (malformed DAG)"
                     ))
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(report)
-    }
-}
-
-fn collect_leaves(
-    t: &ishare_plan::OpTree,
-    path: &mut Vec<usize>,
-    out: &mut Vec<(Vec<usize>, InputSource)>,
-) {
-    if let ishare_plan::TreeOp::Input(src) = &t.op {
-        out.push((path.clone(), *src));
-    }
-    for (i, c) in t.inputs.iter().enumerate() {
-        path.push(i);
-        collect_leaves(c, path, out);
-        path.pop();
+        let mut total_work = WorkUnits::ZERO;
+        for id in &self.topo {
+            total_work += WorkUnits(sims[id.index()].private_total);
+        }
+        let final_work = self.query_subplans.iter().map(|sps| {
+            sps.iter().fold(WorkUnits::ZERO, |w, &i| w + WorkUnits(sims[i].private_final))
+        });
+        Ok(Evaluation {
+            epoch: self.epoch,
+            paces: paces.to_vec(),
+            final_work: final_work.collect(),
+            sims,
+            total_work,
+        })
     }
 }
 
@@ -549,12 +668,15 @@ mod tests {
         let c = catalog();
         let plan = fig2_plan(&c);
         let mut est = PlanEstimator::new(&plan, &c, CostWeights::default()).unwrap();
-        let rep = est.estimate(&vec![2; plan.len()]).unwrap();
+        let rep = est.estimate_detailed(&vec![2; plan.len()]).unwrap();
         assert_eq!(rep.subplan_inputs.len(), plan.len());
-        assert_eq!(rep.subplan_output.len(), plan.len());
         // The shared subplan's output feeds two parents; its estimate must
-        // track per-query cardinalities for both.
-        let shared = &rep.subplan_output[0];
+        // track per-query cardinalities for both. q0's root reads only it.
+        let q0_root = plan.query_root(QueryId(0)).unwrap();
+        assert_eq!(plan.subplans[q0_root.index()].children(), vec![SubplanId(0)]);
+        let inputs = &rep.subplan_inputs[q0_root.index()];
+        assert_eq!(inputs.len(), 1);
+        let shared = inputs.values().next().unwrap();
         assert!(shared.rows.query(QueryId(0)) > 0.0);
         assert!(shared.rows.query(QueryId(1)) > 0.0);
         assert!(shared.delete_frac > 0.0, "pace 2 aggregate churns");

@@ -13,16 +13,21 @@
 //!   estimates and a pace `k`, simulate `k` incremental executions, mirroring
 //!   the engine's work charges (including aggregate retract+insert churn and
 //!   MIN/MAX rescans), and produce the subplan's *private total work*,
-//!   *private final work* and output stream estimate.
+//!   *private final work* and output stream estimate. Each subplan is
+//!   compiled once into a node arena ([`CompiledSubplan`]) whose static
+//!   pass is bound per input set and whose steps allocate nothing.
 //! * [`estimator`] — the whole-plan estimator with the **memoization
 //!   algorithm** of Sec. 3.2 (Algorithm 1): each subplan memoizes
 //!   `(private total work, private final work, output estimate)` keyed by its
 //!   *private pace configuration* (its own pace plus its descendants'), so
 //!   the greedy pace search — which evaluates thousands of configurations
 //!   differing in a single subplan's pace — only re-simulates the changed
-//!   subplan and its ancestors. [`PlanEstimator::estimate_unmemoized`]
-//!   recomputes everything from scratch, reproducing the prior work the
-//!   paper compares against in Fig. 15.
+//!   subplan and its ancestors. The searches score a candidate against the
+//!   [`Evaluation`] of their current configuration
+//!   ([`PlanEstimator::evaluate_from`]), which visits only that cone.
+//!   [`PlanEstimator::estimate_unmemoized`] recomputes everything from
+//!   scratch, reproducing the prior work the paper compares against in
+//!   Fig. 15.
 //!
 //! Estimated and measured work share the same [`CostWeights`] so they are
 //! directly comparable; the cross-crate tests assert the estimator tracks
@@ -30,6 +35,7 @@
 //!
 //! [`CostWeights`]: ishare_common::CostWeights
 //! [`PlanEstimator::estimate_unmemoized`]: estimator::PlanEstimator::estimate_unmemoized
+//! [`PlanEstimator::evaluate_from`]: estimator::PlanEstimator::evaluate_from
 
 #![warn(missing_docs)]
 
@@ -38,6 +44,8 @@ pub mod selectivity;
 pub mod simulate;
 pub mod stats;
 
-pub use estimator::{CostReport, EstimatorCounters, LeafInputs, ObservedBase, PlanEstimator};
-pub use simulate::SubplanSim;
-pub use stats::{CardVec, StreamEstimate};
+pub use estimator::{
+    CostReport, EstimatorCounters, Evaluation, LeafInputs, ObservedBase, PlanEstimator,
+};
+pub use simulate::{CompiledSubplan, SubplanSim};
+pub use stats::{CardVec, ColEstimate, StreamEstimate};

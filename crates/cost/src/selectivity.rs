@@ -8,9 +8,9 @@
 //! missed latencies to it — precision here only needs to rank alternatives
 //! sensibly.
 
+use crate::stats::ColEstimate;
 use ishare_common::Value;
 use ishare_expr::{BinaryOp, Expr, ScalarFunc};
-use ishare_storage::ColumnStats;
 
 /// Default selectivity when nothing is known.
 const DEFAULT_SEL: f64 = 1.0 / 3.0;
@@ -21,11 +21,11 @@ const NULL_SEL: f64 = 0.02;
 
 /// Estimate the fraction of rows satisfying `pred`, given the input
 /// stream's column statistics.
-pub fn selectivity(pred: &Expr, cols: &[ColumnStats]) -> f64 {
+pub fn selectivity(pred: &Expr, cols: &[ColEstimate]) -> f64 {
     sel(pred, cols).clamp(0.0, 1.0)
 }
 
-fn sel(pred: &Expr, cols: &[ColumnStats]) -> f64 {
+fn sel(pred: &Expr, cols: &[ColEstimate]) -> f64 {
     match pred {
         Expr::Literal(Value::Bool(b)) => {
             if *b {
@@ -59,7 +59,7 @@ fn sel(pred: &Expr, cols: &[ColumnStats]) -> f64 {
 
 /// ndv of the column referenced by `e` (sees through `year`/`substr`, which
 /// compress the domain).
-fn ndv_of(e: &Expr, cols: &[ColumnStats]) -> Option<f64> {
+fn ndv_of(e: &Expr, cols: &[ColEstimate]) -> Option<f64> {
     match e {
         Expr::Column(i) => cols.get(*i).map(|c| c.ndv.max(1.0)),
         Expr::Func { func, arg } => {
@@ -77,7 +77,7 @@ fn ndv_of(e: &Expr, cols: &[ColumnStats]) -> Option<f64> {
     }
 }
 
-fn eq_sel(left: &Expr, right: &Expr, cols: &[ColumnStats]) -> f64 {
+fn eq_sel(left: &Expr, right: &Expr, cols: &[ColEstimate]) -> f64 {
     match (ndv_of(left, cols), ndv_of(right, cols)) {
         (Some(l), Some(r)) => 1.0 / l.max(r),
         (Some(n), None) | (None, Some(n)) => 1.0 / n,
@@ -86,7 +86,7 @@ fn eq_sel(left: &Expr, right: &Expr, cols: &[ColumnStats]) -> f64 {
 }
 
 /// `col < lit` style ranges: use the known min/max when available.
-fn range_sel(left: &Expr, right: &Expr, cols: &[ColumnStats], less: bool) -> f64 {
+fn range_sel(left: &Expr, right: &Expr, cols: &[ColEstimate], less: bool) -> f64 {
     // Normalize to (column, literal, column-on-left?).
     let (col_expr, lit, col_on_left) = match (left, right) {
         (Expr::Column(_), Expr::Literal(v)) => (left, v, true),
@@ -101,12 +101,8 @@ fn range_sel(left: &Expr, right: &Expr, cols: &[ColumnStats], less: bool) -> f64
         Some(s) => s,
         None => return DEFAULT_SEL,
     };
-    let (min, max, v) = match (
-        stats.min.as_ref().and_then(Value::as_f64),
-        stats.max.as_ref().and_then(Value::as_f64),
-        lit.as_f64(),
-    ) {
-        (Some(a), Some(b), Some(v)) if b > a => (a, b, v),
+    let (min, max, v) = match (stats.range, lit.as_f64()) {
+        (Some((a, b)), Some(v)) if b > a => (a, b, v),
         _ => return DEFAULT_SEL,
     };
     let frac_below = ((v - min) / (max - min)).clamp(0.0, 1.0);
@@ -122,8 +118,9 @@ fn range_sel(left: &Expr, right: &Expr, cols: &[ColumnStats], less: bool) -> f64
 mod tests {
     use super::*;
 
-    fn cols() -> Vec<ColumnStats> {
-        vec![ColumnStats::with_range(100.0, Value::Int(0), Value::Int(99)), ColumnStats::ndv(10.0)]
+    fn cols() -> Vec<ColEstimate> {
+        let range = ishare_storage::ColumnStats::with_range(100.0, Value::Int(0), Value::Int(99));
+        vec![ColEstimate::from(&range), ColEstimate::ndv(10.0)]
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Stream statistics: cardinality vectors and column statistics.
 
-use ishare_common::{QueryId, QuerySet};
+use ishare_common::{QueryId, QuerySet, Value};
 use ishare_storage::ColumnStats;
 use std::collections::BTreeMap;
 
@@ -22,19 +22,9 @@ impl CardVec {
         CardVec { total, per_query: queries.iter().map(|q| (q.0, total)).collect() }
     }
 
-    /// Zero cardinalities for the given queries.
-    pub fn zero(queries: QuerySet) -> CardVec {
-        CardVec { total: 0.0, per_query: queries.iter().map(|q| (q.0, 0.0)).collect() }
-    }
-
     /// Rows valid for query `q` (0 if unknown).
     pub fn query(&self, q: QueryId) -> f64 {
         self.per_query.get(&q.0).copied().unwrap_or(0.0)
-    }
-
-    /// The queries tracked.
-    pub fn queries(&self) -> QuerySet {
-        self.per_query.keys().map(|&k| QueryId(k)).collect()
     }
 
     /// Scale every entry (slicing a trigger's worth of data into pace
@@ -45,44 +35,31 @@ impl CardVec {
             per_query: self.per_query.iter().map(|(&q, &n)| (q, n * f)).collect(),
         }
     }
+}
 
-    /// Element-wise sum.
-    pub fn add(&self, other: &CardVec) -> CardVec {
-        let mut per_query = self.per_query.clone();
-        for (&q, &n) in &other.per_query {
-            *per_query.entry(q).or_insert(0.0) += n;
-        }
-        CardVec { total: self.total + other.total, per_query }
+/// What the cost model reads of a column's statistics: its distinct values
+/// and, for a numeric or date column with known bounds, its range as
+/// `f64`s. `Copy`, so the simulator moves it between operators without
+/// touching the catalog's `Value`s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ColEstimate {
+    /// Estimated number of distinct values.
+    pub ndv: f64,
+    /// `(min, max)`, when both are known and numeric.
+    pub range: Option<(f64, f64)>,
+}
+
+impl ColEstimate {
+    /// A column with only a distinct count.
+    pub fn ndv(ndv: f64) -> Self {
+        ColEstimate { ndv, range: None }
     }
+}
 
-    /// Restrict to a subset of queries, re-deriving the total as the
-    /// independence-assumption union of the kept queries' cardinalities:
-    /// `total' = total × (1 − Π_q (1 − n_q/total))`.
-    ///
-    /// Exact totals would require knowing mask correlations; independence
-    /// overestimates overlap-free streams and is exact for single-query
-    /// subsets, which is what the decomposition algorithm mostly asks for.
-    pub fn restrict(&self, queries: QuerySet) -> CardVec {
-        let per_query: BTreeMap<u16, f64> = self
-            .per_query
-            .iter()
-            .filter(|(&q, _)| queries.contains(QueryId(q)))
-            .map(|(&q, &n)| (q, n))
-            .collect();
-        let total = if self.total <= 0.0 {
-            0.0
-        } else {
-            let miss: f64 =
-                per_query.values().map(|&n| 1.0 - (n / self.total).clamp(0.0, 1.0)).product();
-            self.total * (1.0 - miss)
-        };
-        CardVec { total, per_query }
-    }
-
-    /// The union estimate used for "rows valid for at least one of these
-    /// queries" (same independence assumption as [`CardVec::restrict`]).
-    pub fn union_of(&self, queries: QuerySet) -> f64 {
-        self.restrict(queries).total
+impl From<&ColumnStats> for ColEstimate {
+    fn from(c: &ColumnStats) -> Self {
+        let bound = |v: &Option<Value>| v.as_ref().and_then(Value::as_f64);
+        ColEstimate { ndv: c.ndv, range: bound(&c.min).zip(bound(&c.max)) }
     }
 }
 
@@ -96,12 +73,13 @@ pub struct StreamEstimate {
     /// insert-only (`0.0`); aggregate outputs churn.
     pub delete_frac: f64,
     /// Per-column statistics, aligned with the stream's schema.
-    pub cols: Vec<ColumnStats>,
+    pub cols: Vec<ColEstimate>,
 }
 
 impl StreamEstimate {
     /// An insert-only stream where every row is valid for every query.
     pub fn insert_only(total: f64, queries: QuerySet, cols: Vec<ColumnStats>) -> Self {
+        let cols = cols.iter().map(ColEstimate::from).collect();
         StreamEstimate { rows: CardVec::uniform(total, queries), delete_frac: 0.0, cols }
     }
 }
@@ -136,39 +114,6 @@ mod tests {
         let h = c.scaled(0.5);
         assert_eq!(h.total, 50.0);
         assert_eq!(h.query(QueryId(0)), 50.0);
-        assert_eq!(c.queries(), qs(&[0, 1]));
-    }
-
-    #[test]
-    fn add_merges() {
-        let a = CardVec::uniform(10.0, qs(&[0]));
-        let b = CardVec::uniform(5.0, qs(&[1]));
-        let s = a.add(&b);
-        assert_eq!(s.total, 15.0);
-        assert_eq!(s.query(QueryId(0)), 10.0);
-        assert_eq!(s.query(QueryId(1)), 5.0);
-    }
-
-    #[test]
-    fn restrict_single_query_exact() {
-        let mut c = CardVec::uniform(100.0, qs(&[0, 1]));
-        c.per_query.insert(1, 20.0);
-        let r = c.restrict(qs(&[1]));
-        assert!((r.total - 20.0).abs() < 1e-9, "single-query restriction is exact");
-        assert_eq!(r.per_query.len(), 1);
-    }
-
-    #[test]
-    fn restrict_union_bounds() {
-        let mut c = CardVec::uniform(100.0, qs(&[0, 1]));
-        c.per_query.insert(0, 50.0);
-        c.per_query.insert(1, 50.0);
-        let r = c.restrict(qs(&[0, 1]));
-        // Union of two 50% masks under independence: 75.
-        assert!((r.total - 75.0).abs() < 1e-9);
-        assert!(r.total <= 100.0);
-        assert!(r.total >= 50.0);
-        assert_eq!(c.union_of(qs(&[0])), 50.0);
     }
 
     #[test]
@@ -181,14 +126,5 @@ mod tests {
         assert_eq!(expected_distinct(5.0, 1.0), 1.0);
         // Monotone in n.
         assert!(expected_distinct(20.0, 10.0) >= expected_distinct(10.0, 10.0));
-    }
-
-    #[test]
-    fn zero_cardvec() {
-        let z = CardVec::zero(qs(&[0, 2]));
-        assert_eq!(z.total, 0.0);
-        assert_eq!(z.per_query.len(), 2);
-        let r = z.restrict(qs(&[0]));
-        assert_eq!(r.total, 0.0);
     }
 }
